@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	coma "repro"
+	"repro/internal/workload"
 )
 
 // tinyDDL builds a small distinct relational schema per seed: big
@@ -23,12 +24,16 @@ func tinyDDL(seed int) string {
 );`, seed, seed, seed)
 }
 
-// newServedRepo opens a single-store repository with n tiny stored
-// schemas behind the comaserve HTTP API and returns the engine serving
-// it (cache-lifecycle assertions read it directly).
-func newServedRepo(t *testing.T, n int, opts ...coma.Option) (*httptest.Server, *coma.Engine) {
+// servedShardCounts are the store layouts the served tests run over:
+// a single shard, and several with the schemas spread across them.
+var servedShardCounts = []int{1, 3}
+
+// newServedRepo opens a store of the given shard count with n tiny
+// stored schemas behind the comaserve HTTP API; cache-lifecycle
+// assertions read the store's engine directly.
+func newServedRepo(t *testing.T, shards, n int, opts ...coma.Option) (*httptest.Server, *coma.ShardedRepository) {
 	t.Helper()
-	repo, err := coma.OpenRepository(filepath.Join(t.TempDir(), "served.repo"))
+	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), "served"), shards, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,76 +47,71 @@ func newServedRepo(t *testing.T, n int, opts ...coma.Option) (*httptest.Server, 
 			t.Fatal(err)
 		}
 	}
-	engine, err := coma.NewEngine(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(repo.Handler(engine))
+	ts := httptest.NewServer(repo.Handler())
 	t.Cleanup(ts.Close)
-	return ts, engine
+	return ts, repo
 }
 
 // TestServedInlineAnalyzerBounded is the heap-stability acceptance
 // test of the cache-lifecycle subsystem: a long burst of inline POST
-// /match requests must leave the engine's analysis cache holding only
-// the stored (pinned) schemas — before the end-of-batch eviction,
+// /match requests must leave the store engine's analysis cache holding
+// only the stored (pinned) schemas — before the end-of-batch eviction,
 // every request leaked one analyzer entry keyed by its throwaway
-// schema instance.
+// schema instance — whatever the shard count.
 func TestServedInlineAnalyzerBounded(t *testing.T) {
-	const stored = 3
-	ts, engine := newServedRepo(t, stored,
-		coma.WithAnalyzerLimit(64), coma.WithPersistentColumnCache())
-	client := coma.NewClient(ts.URL)
-	ctx := context.Background()
+	for _, shards := range servedShardCounts {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			const stored = 3
+			ts, repo := newServedRepo(t, shards, stored,
+				coma.WithAnalyzerLimit(64), coma.WithPersistentColumnCache())
+			client := coma.NewClient(ts.URL)
+			ctx := context.Background()
 
-	requests := 1000
-	if testing.Short() {
-		requests = 100
-	}
-	// A handful of distinct inline sources, each posted many times —
-	// every request still parses its own throwaway schema instance, the
-	// leak's exact shape.
-	for i := 0; i < requests; i++ {
-		resp, err := client.Match(ctx, coma.MatchRequest{
-			Schema: coma.SchemaPayload{
-				Name:   "inline",
-				Format: "sql",
-				Source: tinyDDL(100 + i%5),
-			},
-			TopK: 2,
+			requests := 1000
+			if testing.Short() {
+				requests = 100
+			}
+			// A handful of distinct inline sources, each posted many
+			// times — every request still parses its own throwaway schema
+			// instance, the leak's exact shape.
+			for i := 0; i < requests; i++ {
+				resp, err := client.Match(ctx, coma.MatchRequest{
+					Schema: coma.SchemaPayload{
+						Name:   "inline",
+						Format: "sql",
+						Source: tinyDDL(100 + i%5),
+					},
+					TopK: 2,
+				})
+				if err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+				if len(resp.Candidates) != 2 {
+					t.Fatalf("request %d: %d candidates, want 2", i, len(resp.Candidates))
+				}
+			}
+
+			if got := repo.Engine().CachedAnalyses(); got != stored {
+				t.Errorf("analyzer holds %d analyses after %d inline matches, want %d (stored schemas only)",
+					got, requests, stored)
+			}
 		})
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if len(resp.Candidates) != 2 {
-			t.Fatalf("request %d: %d candidates, want 2", i, len(resp.Candidates))
-		}
-	}
-
-	if got := engine.CachedAnalyses(); got != stored {
-		t.Errorf("analyzer holds %d analyses after %d inline matches, want %d (stored schemas only)",
-			got, requests, stored)
 	}
 }
 
-// TestServedInlineAnalyzerBoundedSharded is the sharded form: after a
-// burst of inline matches against a sharded repository, every shard
-// engine's cache holds at most the stored schemas (each shard analyzes
-// its own candidates plus — for the fan-out's first shard — pinned
-// incoming instances; never the inline throwaways).
-func TestServedInlineAnalyzerBoundedSharded(t *testing.T) {
-	const shards, stored = 4, 6
-	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), "shards"), shards,
-		coma.WithAnalyzerLimit(64), coma.WithPersistentColumnCache())
+// TestShardedOneAnalysisPerStoredSchema: a sharded store analyzes and
+// pins each stored schema exactly once, whichever shard holds it. One
+// by-name match per stored schema behind the served API — every stored
+// schema serving once as the incoming side and many times as a
+// candidate — leaves one cached analysis and one pin per schema.
+func TestShardedOneAnalysisPerStoredSchema(t *testing.T) {
+	const shards, stored = 4, 32
+	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), "shards"), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { repo.Close() })
-	for i := 0; i < stored; i++ {
-		s, err := coma.LoadSQL(fmt.Sprintf("Stored%d", i), tinyDDL(i))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, s := range workload.Corpus(stored, 7) {
 		if err := repo.PutSchema(s); err != nil {
 			t.Fatal(err)
 		}
@@ -121,17 +121,25 @@ func TestServedInlineAnalyzerBoundedSharded(t *testing.T) {
 	client := coma.NewClient(ts.URL)
 	ctx := context.Background()
 
-	for i := 0; i < 200; i++ {
-		if _, err := client.Match(ctx, coma.MatchRequest{
-			Schema: coma.SchemaPayload{Name: "inline", Format: "sql", Source: tinyDDL(50 + i%4)},
-		}); err != nil {
-			t.Fatalf("request %d: %v", i, err)
+	names := repo.SchemaNames()
+	if len(names) != stored {
+		t.Fatalf("%d schemas stored, want %d", len(names), stored)
+	}
+	for _, name := range names {
+		resp, err := client.Match(ctx, coma.MatchRequest{Schema: coma.SchemaPayload{Name: name}, TopK: 3})
+		if err != nil {
+			t.Fatalf("match %s: %v", name, err)
+		}
+		if len(resp.Candidates) != 3 {
+			t.Fatalf("match %s: %d candidates, want 3", name, len(resp.Candidates))
 		}
 	}
-	for i := 0; i < shards; i++ {
-		if got := repo.ShardEngine(i).CachedAnalyses(); got > stored {
-			t.Errorf("shard %d holds %d analyses, want <= %d stored schemas", i, got, stored)
-		}
+	e := repo.Engine()
+	if got := e.CachedAnalyses(); got != stored {
+		t.Errorf("engine caches %d analyses for %d stored schemas, want one each", got, stored)
+	}
+	if got := e.AnalyzerCacheStats().Pins; got != stored {
+		t.Errorf("%d pins for %d stored schemas, want one each", got, stored)
 	}
 }
 
@@ -214,14 +222,24 @@ func TestPersistentColumnCacheGolden(t *testing.T) {
 
 // TestServedChurnCacheLifecycle is the -race satellite: concurrent
 // inline matches, schema PUT/DELETE churn and wholesale engine
-// invalidation against a live server. Afterwards the analyzer must
-// hold no more than the surviving stored schemas, and a served match
-// must agree bit for bit with a fresh local engine over the final
-// store — no stale analyses, no stale columns.
+// invalidation against a live server, for each shard count.
+// Afterwards the analyzer must hold no more than the surviving stored
+// schemas, and a served match must agree bit for bit with a fresh
+// local engine over the final store — no stale analyses, no stale
+// columns.
 func TestServedChurnCacheLifecycle(t *testing.T) {
+	for _, shards := range servedShardCounts {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			testServedChurnCacheLifecycle(t, shards)
+		})
+	}
+}
+
+func testServedChurnCacheLifecycle(t *testing.T, shards int) {
 	const stored = 3
-	ts, engine := newServedRepo(t, stored,
+	ts, repo := newServedRepo(t, shards, stored,
 		coma.WithAnalyzerLimit(64), coma.WithPersistentColumnCache())
+	engine := repo.Engine()
 	client := coma.NewClient(ts.URL)
 	ctx := context.Background()
 

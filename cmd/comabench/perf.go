@@ -242,9 +242,9 @@ func measurePerf() perfReport {
 	// phase-shifted request streams (workload.Clients). ns/op is the
 	// per-request cost including HTTP transport, inline schema import
 	// and the TopK(3) batch match. 1x16 serves from a single shard;
-	// 4shard fans the same store out over four shards with per-shard
-	// engines under one worker budget — the acceptance comparison is
-	// that sharding costs nothing per request on this workload.
+	// 4shard spreads the same store over four storage shards under the
+	// store's one engine — the acceptance comparison is that sharding
+	// costs nothing per request on this workload.
 	add("MatchServe/1x16", func(b *testing.B) { benchServe(b, 1) })
 	add("MatchServe/4shard", func(b *testing.B) { benchServe(b, 4) })
 	// The repository-scale serving workload: a 10,000-schema corpus
@@ -546,7 +546,7 @@ func benchServe(b *testing.B, shards int) {
 // corpusServe is the repository-scale serving fixture shared by the
 // MatchServe/10k-* scenarios: n corpus schemas stored on a sharded,
 // candidate-indexed repository behind httptest. One pruned warmup
-// request makes the per-shard engines analyze and index every stored
+// request makes the store's engine analyze and index every stored
 // schema, so both scenarios measure the serving steady state.
 type corpusServe struct {
 	dir  string

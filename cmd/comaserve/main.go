@@ -1,6 +1,6 @@
 // Command comaserve runs the COMA repository as a network service: a
-// sharded schema store with per-shard match engines behind the
-// HTTP/JSON API of internal/server. It is the serving shape of the
+// sharded schema store with one match engine behind the HTTP/JSON API
+// of internal/server. It is the serving shape of the
 // paper's architecture — many clients import schemas into a shared
 // repository and ask which stored schemas an incoming one resembles.
 //
@@ -38,7 +38,7 @@
 //
 // Cache lifecycle: inline schemas posted to /match are analyzed per
 // request and their analyses evicted at batch end (stored schemas stay
-// pinned and warm), -analyzer-limit additionally bounds each engine's
+// pinned and warm), -analyzer-limit additionally bounds the engine's
 // analysis cache as a backstop (0 disables the bound), and the
 // engine-scoped persistent column cache — warm name-similarity columns
 // across repeated matches of a stored schema — is on by default
@@ -104,10 +104,10 @@ import (
 // serveConfig carries everything run needs; main fills it from flags,
 // tests construct it directly.
 type serveConfig struct {
-	addr     string
-	repoDir  string
-	shards   int
-	workers  int
+	addr      string
+	repoDir   string
+	shards    int
+	workers   int
 	anLimit   int
 	colcache  bool
 	candIndex bool
@@ -147,7 +147,7 @@ func main() {
 		repoDir      = flag.String("repo", "coma.shards", "sharded repository directory")
 		shards       = flag.Int("shards", 4, "shard count (fixed when the repository is created)")
 		workers      = flag.Int("workers", 0, "match worker bound and in-flight match limit (0 = all CPUs)")
-		anLimit      = flag.Int("analyzer-limit", 256, "per-engine bound on cached transient schema analyses (0 = unbounded)")
+		anLimit      = flag.Int("analyzer-limit", 256, "bound on the engine's cached transient schema analyses (0 = unbounded)")
 		colcache     = flag.Bool("colcache", true, "persist name-similarity columns across batches (engine-scoped column cache)")
 		candIndex    = flag.Bool("candidate-index", true, "maintain the candidate-pruning index (TopK matches skip hopeless candidates; clients opt out per request with \"exhaustive\")")
 		pageCache    = flag.Int("page-cache", 0, "page buffer pool bound per shard, in pages (0 = storage default)")
@@ -276,9 +276,19 @@ func run(cfg serveConfig) error {
 	go func() { errc <- srv.Serve(ln) }()
 	// Periodic checkpoints bound restart replay: each compacts the live
 	// state into a snapshot and truncates the logs, so reopening replays
-	// the snapshot plus at most one period of log suffix.
-	if cfg.checkpoint > 0 {
+	// the snapshot plus at most one period of log suffix. The loop stops
+	// with ctx, and run waits for it before the final checkpoint and the
+	// deferred Close, so no periodic checkpoint overlaps either.
+	ckptDone := make(chan struct{})
+	defer func() {
+		stop()
+		<-ckptDone
+	}()
+	if cfg.checkpoint <= 0 {
+		close(ckptDone)
+	} else {
 		go func() {
+			defer close(ckptDone)
 			t := time.NewTicker(cfg.checkpoint)
 			defer t.Stop()
 			for {
@@ -309,6 +319,7 @@ func run(cfg serveConfig) error {
 		defer cancel()
 		fmt.Fprintln(os.Stderr, "comaserve: draining and shutting down")
 		err := srv.Shutdown(shutdownCtx)
+		<-ckptDone
 		// With the store quiesced, checkpoint so the next boot replays a
 		// snapshot instead of the whole log.
 		if cerr := repo.Checkpoint(); cerr != nil && err == nil {

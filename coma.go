@@ -36,7 +36,8 @@
 // one incoming schema against many stored candidates — Engine.MatchAll
 // schedules the whole batch over one worker budget and recycles the
 // per-pair matrices through pooled arenas; Repository.MatchIncoming
-// runs it against every schema of a repository.
+// and ShardedRepository.MatchIncoming run the same batch against every
+// schema of a store.
 package coma
 
 import (
@@ -277,7 +278,7 @@ func WithWorkers(n int) Option {
 // WithAnalyzerLimit bounds the engine's per-schema analysis cache to n
 // entries: beyond it, the least recently used analyses of transient
 // (unpinned) schemas are evicted. Stored schemas — pinned by the
-// repository backends and by Engine.Analyze — are exempt. The limit is
+// served repository and by Engine.Analyze — are exempt. The limit is
 // a backstop against transient analyses escaping the batch scheduler's
 // end-of-batch eviction; comaserve enables it by default.
 func WithAnalyzerLimit(n int) Option {
@@ -383,7 +384,7 @@ func (e *Engine) Analyze(s *Schema) {
 
 // Pin marks a schema as retained without analyzing it: its cached
 // analysis (once built) is kept across batches and exempt from the
-// analyzer capacity bound until Release. The repository backends pin
+// analyzer capacity bound until Release. The served repository pins
 // every stored schema, which is what distinguishes a stored incoming
 // schema (analysis stays warm) from a served inline one (analysis is
 // evicted at batch end). Pinning is idempotent: however many times a
@@ -526,13 +527,13 @@ func KeepCubes() MatchAllOption {
 	}
 }
 
-// AllowPartial opts a sharded match into graceful degradation: a shard
-// that fails (or is canceled on its own) is dropped from the merged
-// ranking and reported as a ShardError instead of failing the whole
-// request. Single-engine batches (Engine.MatchAll and
-// Repository.MatchIncoming run one shard) have nothing to degrade and
-// ignore the option; cancellation of the request context always aborts
-// the whole match.
+// AllowPartial opts ShardedRepository.MatchIncoming into graceful
+// degradation: a storage shard with a candidate that fails to match is
+// dropped from the merged ranking and reported as a ShardError instead
+// of failing the whole request. Unsharded batches (Engine.MatchAll and
+// Repository.MatchIncoming) have nothing to degrade and ignore the
+// option; cancellation of the request context always aborts the whole
+// match.
 func AllowPartial() MatchAllOption {
 	return func(o *matchAllOptions) error {
 		o.allowPartial = true
@@ -562,14 +563,55 @@ func (e *Engine) MatchAll(incoming *Schema, candidates []*Schema, opts ...MatchA
 // evicted, and the cancellation cause is returned. A never-canceled
 // ctx yields results bit-identical to MatchAll.
 func (e *Engine) MatchAllContext(ctx context.Context, incoming *Schema, candidates []*Schema, opts ...MatchAllOption) ([]*Result, error) {
-	var o matchAllOptions
+	o, err := buildMatchAllOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	// A plain candidate list is one group with nothing to degrade, and
+	// it is not the store: indexing its schemas for pruning would grow
+	// the candidate index by every caller's throwaway candidates.
+	o.allowPartial = false
+	o.exhaustive = true
+	results, _, _, err := e.matchBatch(ctx, incoming, [][]*Schema{candidates}, o)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// buildMatchAllOptions applies one batch's options.
+func buildMatchAllOptions(opts []MatchAllOption) (*matchAllOptions, error) {
+	o := &matchAllOptions{}
 	for _, opt := range opts {
-		if err := opt(&o); err != nil {
+		if err := opt(o); err != nil {
 			return nil, err
 		}
 	}
-	return core.MatchAll(ctx, e.o.ctx, incoming, candidates, e.config(),
-		core.BatchOptions{TopK: o.topK, KeepCubes: o.keepCubes})
+	return o, nil
+}
+
+// matchBatch is the one batch path behind Engine.MatchAll and both
+// repositories' MatchIncoming: it bounds the candidates through the
+// engine's candidate index when the options allow pruning, then runs
+// core.MatchBatch over the groups. The returned stats are non-nil
+// exactly when the batch was pruned.
+func (e *Engine) matchBatch(ctx context.Context, incoming *Schema, groups [][]*Schema, o *matchAllOptions) ([][]*Result, *PruneStats, []ShardError, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var bounds [][]float64
+	if spec := e.pruneSpec(o); spec != nil {
+		var err error
+		if bounds, err = e.candidateBounds(ctx, spec, incoming, groups, o.maxCandidates); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	results, stats, groupErrs, err := core.MatchBatch(ctx, e.o.ctx, incoming, groups, bounds, e.config(),
+		core.BatchOptions{TopK: o.topK, KeepCubes: o.keepCubes, AllowPartial: o.allowPartial})
+	if err != nil || bounds == nil {
+		return results, nil, groupErrs, err
+	}
+	return results, &stats, groupErrs, nil
 }
 
 // Session is an interactive match session carrying user feedback

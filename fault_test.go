@@ -80,15 +80,25 @@ func waitDrained(t *testing.T, client *coma.Client, within time.Duration) {
 	}
 }
 
-// TestServedMatchCancellationSingle: a canceled POST /match against a
-// single-store server returns promptly, stops the batch server-side
-// well before the injected per-pair delay elapses, leaks no analyzer
-// entries, and leaves the server fully healthy.
-func TestServedMatchCancellationSingle(t *testing.T) {
+// TestServedMatchCancellation: a canceled POST /match returns
+// promptly, stops the batch server-side well before the injected
+// per-pair delay elapses, leaks no analyzer entries, and leaves the
+// server fully healthy — on a single shard and with the candidates
+// spread across shards.
+func TestServedMatchCancellation(t *testing.T) {
+	for _, shards := range servedShardCounts {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			testServedMatchCancellation(t, shards)
+		})
+	}
+}
+
+func testServedMatchCancellation(t *testing.T, shards int) {
 	const stored = 4
 	slow := &slowMatcher{inner: match.NewName()}
-	ts, engine := newServedRepo(t, stored,
+	ts, repo := newServedRepo(t, shards, stored,
 		coma.WithMatcherInstances(slow), coma.WithAnalyzerLimit(64))
+	engine := repo.Engine()
 	client := coma.NewClient(ts.URL)
 	ctx := context.Background()
 
@@ -133,63 +143,6 @@ func TestServedMatchCancellationSingle(t *testing.T) {
 	}
 	if got := engine.CachedAnalyses(); got != stored {
 		t.Errorf("analyzer holds %d analyses after recovery, want %d (stored only)", got, stored)
-	}
-}
-
-// TestServedMatchCancellationSharded is the sharded form: cancellation
-// cuts through the shard fan-out, and every shard engine's cache stays
-// bounded by its own stored schemas.
-func TestServedMatchCancellationSharded(t *testing.T) {
-	const shards, stored = 2, 6
-	slow := &slowMatcher{inner: match.NewName()}
-	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), "shards"), shards,
-		coma.WithMatcherInstances(slow), coma.WithAnalyzerLimit(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { repo.Close() })
-	for i := 0; i < stored; i++ {
-		s, err := coma.LoadSQL(fmt.Sprintf("Stored%d", i), tinyDDL(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := repo.PutSchema(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts := httptest.NewServer(repo.Handler())
-	t.Cleanup(ts.Close)
-	client := coma.NewClient(ts.URL)
-	ctx := context.Background()
-
-	resp, err := client.Match(ctx, coma.MatchRequest{Schema: probePayload(42)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Candidates) != stored {
-		t.Fatalf("baseline sharded match: %d candidates, want %d", len(resp.Candidates), stored)
-	}
-
-	slow.delay.Store(int64(3 * time.Second))
-	for i := 0; i < 3; i++ {
-		cctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-		_, err := client.Match(cctx, coma.MatchRequest{Schema: probePayload(60 + i)})
-		cancel()
-		if err == nil {
-			t.Fatal("canceled sharded match succeeded")
-		}
-	}
-	waitDrained(t, client, 1500*time.Millisecond)
-
-	slow.delay.Store(0)
-	if _, err := client.Match(ctx, coma.MatchRequest{Schema: probePayload(42)}); err != nil {
-		t.Fatalf("sharded match after cancellations: %v", err)
-	}
-	for i := 0; i < shards; i++ {
-		bound := len(repo.ShardSchemas(i))
-		if got := repo.ShardEngine(i).CachedAnalyses(); got > bound {
-			t.Errorf("shard %d caches %d analyses, want <= %d (its stored schemas)", i, got, bound)
-		}
 	}
 }
 
@@ -396,7 +349,7 @@ func TestClientRetryFlaky(t *testing.T) {
 // while liveness and reads stay up — the probe split load balancers
 // rely on during graceful shutdown.
 func TestHandlerDrain(t *testing.T) {
-	repo, err := coma.OpenRepository(filepath.Join(t.TempDir(), "drain.repo"))
+	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), "drain"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,11 +363,7 @@ func TestHandlerDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	engine, err := coma.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	handler := repo.Handler(engine)
+	handler := repo.Handler()
 	ts := httptest.NewServer(handler)
 	t.Cleanup(ts.Close)
 	client := coma.NewClient(ts.URL)

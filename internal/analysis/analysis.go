@@ -784,7 +784,7 @@ func (a *Analyzer) Pinned(s *schema.Schema) bool {
 // are left untouched. It reports whether an entry was dropped. The
 // batch schedulers call it for the incoming schema at batch end, so a
 // served inline schema's analysis dies with its request instead of
-// accumulating in every engine that touched it. While a batch window
+// accumulating in the engine's cache. While a batch window
 // is open (BeginBatch), the schema is additionally tombstoned — even
 // when no entry exists yet — so a concurrent batch's build publishing
 // after the eviction is dropped instead of resurrecting the entry.

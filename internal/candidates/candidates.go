@@ -9,7 +9,7 @@
 // library-built matcher configurations (match.BoundableLayers); TopK
 // pruning against it is therefore safe: a candidate whose bound falls
 // below the running k-th best real score can be skipped with results
-// bit-identical to the exhaustive scan (see core.MatchShardedPruned).
+// bit-identical to the exhaustive scan (see core.MatchBatch).
 // Anything the formulas do not provably dominate — custom matchers,
 // non-default token combination, feedback, aggregations the layer
 // bounds are not monotone under — refuses a Spec and the caller falls
@@ -92,7 +92,7 @@
 //
 // The index is maintained incrementally: Add posts one schema's keys
 // (replacing any previous posting of the same schema), Remove unposts
-// them; the server backends hook both into PUT/DELETE. A slot whose
+// them; the served repository hooks both into PUT/DELETE. A slot whose
 // analysis no longer matches the schema's current structure or the
 // query's auxiliary sources (SchemaIndex.Valid) yields +Inf — the
 // candidate is always matched, never wrongly skipped — and callers

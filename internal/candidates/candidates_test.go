@@ -124,11 +124,11 @@ func TestBoundsAdmissible(t *testing.T) {
 		}
 		probe := candidates.NewProbe(spec, mctx.Index(incoming))
 		bounds := idx.Bounds(probe, cands)
-		results, err := core.MatchAll(context.Background(), mctx, incoming, cands, cfg, core.BatchOptions{})
+		groups, _, _, err := core.MatchBatch(context.Background(), mctx, incoming, [][]*schema.Schema{cands}, nil, cfg, core.BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, res := range results {
+		for i, res := range groups[0] {
 			if math.IsInf(bounds[i], 1) {
 				t.Errorf("%s vs %s: +Inf bound for an indexed candidate", incoming.Name, cands[i].Name)
 				continue

@@ -2,12 +2,24 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/combine"
 	"repro/internal/match"
+	"repro/internal/schema"
 	"repro/internal/workload"
 )
+
+// matchAll is the single-group batch: MatchBatch over one candidate
+// list without bounds.
+func matchAll(ctx context.Context, mctx *match.Context, incoming *schema.Schema, cands []*schema.Schema, cfg Config, opt BatchOptions) ([]*Result, error) {
+	groups, _, _, err := MatchBatch(ctx, mctx, incoming, [][]*schema.Schema{cands}, nil, cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	return groups[0], nil
+}
 
 // TestMatchAllAgainstLoop verifies the batch scheduler against the
 // single-pair engine on every knob combination: results arrive in
@@ -31,7 +43,7 @@ func TestMatchAllAgainstLoop(t *testing.T) {
 		ctx := match.NewContext()
 		batchCfg := cfg
 		batchCfg.Workers = workers
-		got, err := MatchAll(context.Background(), ctx, incoming, cands, batchCfg, BatchOptions{})
+		got, err := matchAll(context.Background(), ctx, incoming, cands, batchCfg, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +92,7 @@ func TestMatchAllKeepCubes(t *testing.T) {
 	cands := workload.Candidates(3)
 	incoming, cands := cands[0], cands[1:]
 	cfg := DefaultConfig()
-	got, err := MatchAll(context.Background(), match.NewContext(), incoming, cands, cfg, BatchOptions{KeepCubes: true})
+	got, err := matchAll(context.Background(), match.NewContext(), incoming, cands, cfg, BatchOptions{KeepCubes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +129,12 @@ func TestMatchAllTopK(t *testing.T) {
 	cands := workload.Candidates(5)
 	incoming, cands := cands[0], cands[1:]
 	cfg := DefaultConfig()
-	full, err := MatchAll(context.Background(), match.NewContext(), incoming, cands, cfg, BatchOptions{})
+	full, err := matchAll(context.Background(), match.NewContext(), incoming, cands, cfg, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 2
-	pruned, err := MatchAll(context.Background(), match.NewContext(), incoming, cands, cfg, BatchOptions{TopK: k})
+	pruned, err := matchAll(context.Background(), match.NewContext(), incoming, cands, cfg, BatchOptions{TopK: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +165,7 @@ func TestMatchAllTopK(t *testing.T) {
 	}
 
 	// TopK >= len keeps everything.
-	all, err := MatchAll(context.Background(), match.NewContext(), incoming, cands, cfg, BatchOptions{TopK: len(cands)})
+	all, err := matchAll(context.Background(), match.NewContext(), incoming, cands, cfg, BatchOptions{TopK: len(cands)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +181,7 @@ func TestMatchAllEdgeCases(t *testing.T) {
 	cands := workload.Candidates(2)
 	incoming := cands[0]
 
-	res, err := MatchAll(context.Background(), match.NewContext(), incoming, nil, DefaultConfig(), BatchOptions{})
+	res, err := matchAll(context.Background(), match.NewContext(), incoming, nil, DefaultConfig(), BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +189,99 @@ func TestMatchAllEdgeCases(t *testing.T) {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
 
-	if _, err := MatchAll(context.Background(), match.NewContext(), incoming, cands[1:], Config{}, BatchOptions{}); err == nil {
+	if _, err := matchAll(context.Background(), match.NewContext(), incoming, cands[1:], Config{}, BatchOptions{}); err == nil {
 		t.Error("no matchers should fail")
 	}
 
 	badCfg := DefaultConfig()
 	badCfg.Strategy.Agg = combine.AggSpec{Kind: combine.Weighted, Weights: []float64{1}} // 1 weight, 5 matchers
-	if _, err := MatchAll(context.Background(), match.NewContext(), incoming, cands[1:], badCfg, BatchOptions{}); err == nil {
+	if _, err := matchAll(context.Background(), match.NewContext(), incoming, cands[1:], badCfg, BatchOptions{}); err == nil {
 		t.Error("mismatched weighted aggregation should fail")
+	}
+}
+
+// TestMatchBatchBounds pins the optional bounds. Nil bounds and
+// all-+Inf bounds each reproduce per-pair Match: every candidate
+// without TopK, each group's TopK best with it (+Inf forces every pair
+// to be matched, so nothing is skipped). Malformed bounds are
+// rejected: bounds without a TopK to prune against, and bound slices
+// that do not align with the candidate groups.
+func TestMatchBatchBounds(t *testing.T) {
+	all := workload.Candidates(9)
+	incoming, cands := all[0], all[1:]
+	cfg := DefaultConfig()
+	ref := match.NewContext()
+	want := make(map[*schema.Schema]*Result, len(cands))
+	for _, c := range cands {
+		res, err := Match(ref, incoming, c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c] = res
+	}
+	groups := groupsOf(cands, 3)
+	infBounds := func() [][]float64 {
+		out := make([][]float64, len(groups))
+		for gi, g := range groups {
+			out[gi] = make([]float64, len(g))
+			for ci := range g {
+				out[gi][ci] = math.Inf(1)
+			}
+		}
+		return out
+	}
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		name   string
+		topK   int
+		bounds [][]float64
+	}{
+		{"nil", 0, nil},
+		{"nil/topk", 2, nil},
+		{"inf/topk", 2, infBounds()},
+	} {
+		got, stats, _, err := MatchBatch(ctx, match.NewContext(), incoming, groups, tc.bounds, cfg, BatchOptions{TopK: tc.topK})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if stats.Candidates != len(cands) || stats.Matched != len(cands) || stats.Skipped != 0 {
+			t.Errorf("%s: stats %+v, want all %d candidates matched", tc.name, stats, len(cands))
+		}
+		for gi, rs := range got {
+			wantKept := len(groups[gi])
+			if tc.topK > 0 && tc.topK < wantKept {
+				wantKept = tc.topK
+			}
+			kept, worstKept, bestCut := 0, 2.0, -1.0
+			for ci, res := range rs {
+				w := want[groups[gi][ci]]
+				if res == nil {
+					bestCut = math.Max(bestCut, w.SchemaSim)
+					continue
+				}
+				kept++
+				worstKept = math.Min(worstKept, res.SchemaSim)
+				assertSameResult(t, res, w)
+			}
+			if kept != wantKept {
+				t.Errorf("%s: group %d kept %d results, want %d", tc.name, gi, kept, wantKept)
+			}
+			if bestCut > worstKept {
+				t.Errorf("%s: group %d cut a schema sim %v better than kept %v", tc.name, gi, bestCut, worstKept)
+			}
+		}
+	}
+
+	if _, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, groups, infBounds(), cfg, BatchOptions{}); err == nil {
+		t.Error("bounds without TopK accepted")
+	}
+	short := infBounds()
+	short[1] = short[1][1:]
+	if _, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, groups, short, cfg, BatchOptions{TopK: 2}); err == nil {
+		t.Error("bounds shorter than their candidate group accepted")
+	}
+	if _, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, groups, infBounds()[:2], cfg, BatchOptions{TopK: 2}); err == nil {
+		t.Error("fewer bound groups than candidate groups accepted")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestMatchAllCanceledMidBatch(t *testing.T) {
 		cfg.Workers = workers
 		cfg.Matchers = append([]match.Matcher{}, cfg.Matchers...)
 		cfg.Matchers[0] = &cancelingMatcher{Matcher: cfg.Matchers[0], cancel: cancel}
-		results, err := MatchAll(cctx, match.NewContext(), incoming, cands, cfg, BatchOptions{})
+		results, _, _, err := MatchBatch(cctx, match.NewContext(), incoming, [][]*schema.Schema{cands}, nil, cfg, BatchOptions{})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -99,15 +100,15 @@ func TestMatchCanceledCause(t *testing.T) {
 	all := workload.Candidates(2)
 	cctx, cancel := context.WithCancelCause(context.Background())
 	cancel(context.DeadlineExceeded)
-	_, err := MatchAll(cctx, match.NewContext(), all[0], all[1:], DefaultConfig(), BatchOptions{})
+	_, _, _, err := MatchBatch(cctx, match.NewContext(), all[0], [][]*schema.Schema{all[1:]}, nil, DefaultConfig(), BatchOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded cause", err)
 	}
 }
 
 // TestMatchShardedPartial: with AllowPartial, a faulty matcher failing
-// one shard's pair degrades that shard to a ShardError while the other
-// shard's ranking stays bit-identical to an undisturbed reference.
+// one group's pair degrades that group to a ShardError while the other
+// group's ranking stays bit-identical to an undisturbed reference.
 func TestMatchShardedPartial(t *testing.T) {
 	all := workload.Candidates(7)
 	incoming, cands := all[0], all[1:]
@@ -122,18 +123,18 @@ func TestMatchShardedPartial(t *testing.T) {
 		}
 	}
 
-	// Fail a pair of shard 1 (round-robin layout: odd candidates).
+	// Fail a pair of group 1 (round-robin layout: odd candidates).
 	bad := cands[3]
 	faulty := cfg
 	faulty.Matchers = append([]match.Matcher{}, cfg.Matchers...)
 	faulty.Matchers[2] = faultyMatcher{Matcher: cfg.Matchers[2], failFor: bad}
 
 	// Without AllowPartial the injected fault aborts the whole batch.
-	if _, _, err := MatchSharded(context.Background(), incoming, shardsOf(cands, 2), faulty, BatchOptions{}); err == nil {
+	if _, _, _, err := MatchBatch(context.Background(), match.NewContext(), incoming, groupsOf(cands, 2), nil, faulty, BatchOptions{}); err == nil {
 		t.Fatal("injected fault did not fail the strict batch")
 	}
 
-	results, shardErrs, err := MatchSharded(context.Background(), incoming, shardsOf(cands, 2), faulty, BatchOptions{AllowPartial: true})
+	results, _, shardErrs, err := MatchBatch(context.Background(), match.NewContext(), incoming, groupsOf(cands, 2), nil, faulty, BatchOptions{AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,56 +142,52 @@ func TestMatchShardedPartial(t *testing.T) {
 		t.Fatalf("shard errors = %v, want exactly shard 1", shardErrs)
 	}
 	if results[1] != nil {
-		t.Error("failed shard kept its results")
+		t.Error("failed group kept its results")
 	}
 	if results[0] == nil {
-		t.Fatal("healthy shard lost its results")
+		t.Fatal("healthy group lost its results")
 	}
 	for ci, res := range results[0] {
-		orig := ci * 2 // shard 0 of the round-robin layout
+		orig := ci * 2 // group 0 of the round-robin layout
 		if res.SchemaSim != ref[orig].SchemaSim {
-			t.Errorf("surviving shard: candidate %d sim %v, want %v", orig, res.SchemaSim, ref[orig].SchemaSim)
+			t.Errorf("surviving group: candidate %d sim %v, want %v", orig, res.SchemaSim, ref[orig].SchemaSim)
 		}
 	}
 }
 
-// TestMatchShardedPartialShardCancel: a shard whose own cancellation
-// source fires degrades like a failed shard under AllowPartial, and
-// fails the batch without it; the request context's cancellation is
-// never degraded.
+// TestMatchShardedPartialShardCancel: cancellation of the request
+// context is never degraded to a partial result — AllowPartial or not,
+// exhaustive or bounded, the batch aborts with the cause.
 func TestMatchShardedPartialShardCancel(t *testing.T) {
 	all := workload.Candidates(5)
 	incoming, cands := all[0], all[1:]
 	cfg := DefaultConfig()
-
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	mkShards := func() []Shard {
-		shards := shardsOf(cands, 2)
-		shards[1].Ctx = shards[1].Ctx.WithCancel(canceled)
-		return shards
+	groups := groupsOf(cands, 2)
+	inf := [][]float64{make([]float64, len(groups[0])), make([]float64, len(groups[1]))}
+	for _, bs := range inf {
+		for i := range bs {
+			bs[i] = math.Inf(1)
+		}
 	}
 
-	results, shardErrs, err := MatchSharded(context.Background(), incoming, mkShards(), cfg, BatchOptions{AllowPartial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shardErrs) != 1 || shardErrs[0].Shard != 1 || !errors.Is(shardErrs[0].Err, context.Canceled) {
-		t.Fatalf("shard errors = %v, want shard 1 canceled", shardErrs)
-	}
-	if results[1] != nil || results[0] == nil {
-		t.Errorf("partial results: shard0=%v shard1=%v", results[0] != nil, results[1] != nil)
-	}
-
-	if _, _, err := MatchSharded(context.Background(), incoming, mkShards(), cfg, BatchOptions{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("strict batch with canceled shard: err = %v, want context.Canceled", err)
-	}
-
-	// Request-context cancellation always aborts, AllowPartial or not.
 	dead, stop := context.WithCancel(context.Background())
 	stop()
-	if _, _, err := MatchSharded(dead, incoming, shardsOf(cands, 2), cfg, BatchOptions{AllowPartial: true}); !errors.Is(err, context.Canceled) {
-		t.Errorf("canceled request degraded to partial: err = %v", err)
+	for _, bounds := range [][][]float64{nil, inf} {
+		if _, _, _, err := MatchBatch(dead, match.NewContext(), incoming, groups, bounds, cfg, BatchOptions{TopK: 2, AllowPartial: true}); !errors.Is(err, context.Canceled) {
+			t.Errorf("bounded=%v: canceled request degraded to partial: err = %v", bounds != nil, err)
+		}
+	}
+
+	// Mid-batch: the first matcher call cancels the request while pairs
+	// are still pending.
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceling := cfg
+	canceling.Matchers = append([]match.Matcher{}, cfg.Matchers...)
+	canceling.Matchers[0] = &cancelingMatcher{Matcher: cfg.Matchers[0], cancel: cancel}
+	results, _, shardErrs, err := MatchBatch(cctx, match.NewContext(), incoming, groups, nil, canceling, BatchOptions{AllowPartial: true})
+	if !errors.Is(err, context.Canceled) || results != nil || shardErrs != nil {
+		t.Errorf("mid-batch cancel under AllowPartial: results=%v shardErrs=%v err=%v", results != nil, shardErrs, err)
 	}
 }
 

@@ -109,7 +109,7 @@ func ExecuteMatchers(ctx *match.Context, s1, s2 *schema.Schema, matchers []match
 		// partners share scored distinct-name columns exactly like the
 		// pairs of one batch do (same purity argument — the incoming
 		// index freezes names and source versions). Transient schemas
-		// are excluded for the same reason MatchSharded excludes them:
+		// are excluded for the same reason MatchBatch excludes them:
 		// persisting columns keyed by a short-lived index would retain
 		// dead indexes until LRU turnover.
 		ctx = ctx.WithBatchCache(ctx.Columns.ForIncoming(idx1))

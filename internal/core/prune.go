@@ -1,35 +1,15 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/match"
-	"repro/internal/schema"
 )
-
-// BoundedShard is one shard of a pruned batch match: a candidate group
-// plus one admissible SchemaSim upper bound per candidate (typically
-// from a candidates.Index). Two sentinel bounds steer scheduling:
-// +Inf forces a pair to be matched (an unindexed or stale candidate
-// must never be skipped on a guess), and -Inf excludes a pair outright
-// without matching it (MaxCandidates shortlisting — the only bound
-// value that can make results deviate from the exhaustive scan).
-type BoundedShard struct {
-	Shard
-	// Bounds is index-aligned with Candidates; Bounds[i] >= the real
-	// combined schema similarity of (incoming, Candidates[i]).
-	Bounds []float64
-}
 
 // PruneStats reports how much work candidate pruning saved in one
 // batch.
 type PruneStats struct {
-	// Candidates is the total candidate count across shards.
+	// Candidates is the total candidate count across groups.
 	Candidates int
 	// Matched is the number of pairs the full pipeline ran on.
 	Matched int
@@ -104,11 +84,12 @@ func (pt PruneTotals) Ratio() float64 {
 	return float64(pt.Skipped) / float64(pt.Candidates)
 }
 
-// thetaTracker maintains one shard's running k-th best real schema
-// similarity as a k-bounded min-heap. The current threshold is
-// mirrored into an atomic (-1 while fewer than k results exist, so
-// nothing is skipped before the heap fills — every admissible bound is
-// >= 0) for lock-free reads on the claim path.
+// thetaTracker maintains a running k-th best real schema similarity as
+// a k-bounded min-heap — for the whole batch, or for one candidate
+// group under AllowPartial. The current threshold is mirrored into an
+// atomic (-1 while fewer than k results exist, so nothing is skipped
+// before the heap fills — every admissible bound is >= 0) for
+// lock-free reads on the claim path.
 type thetaTracker struct {
 	mu   sync.Mutex
 	heap []float64
@@ -170,212 +151,4 @@ func (t *thetaTracker) push(sim float64) {
 		i = m
 	}
 	t.bits.Store(math.Float64bits(h[0]))
-}
-
-// pruneSparseTopK nils out every non-nil result not among the k best
-// by combined schema similarity, ties breaking toward the earlier
-// candidate — pruneToTopK's semantics over a sparse result slice
-// (skipped pairs are already nil).
-func pruneSparseTopK(results []*Result, k int) {
-	var order []int
-	for i, r := range results {
-		if r != nil {
-			order = append(order, i)
-		}
-	}
-	if len(order) <= k {
-		return
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return results[order[a]].SchemaSim > results[order[b]].SchemaSim
-	})
-	for _, i := range order[k:] {
-		results[i] = nil
-	}
-}
-
-// MatchShardedPruned is MatchSharded with safe TopK pruning: given an
-// admissible upper bound per candidate, it matches pairs in descending
-// bound order and skips every pair whose bound falls strictly below
-// the running k-th best real score — such a pair's real score is below
-// k results that the exhaustive scan would also rank above it, so it
-// can never enter the TopK-cut merged ranking. With correct
-// (admissible, no -Inf) bounds the merged-and-cut ranking every caller
-// derives (per-shard TopK results, merged and cut to TopK again) is
-// bit-identical to MatchSharded's with the same options; only the
-// amount of work differs. PruneStats reports the saving.
-//
-// Without AllowPartial the skip threshold is global — every shard's
-// completed scores raise it, which is what lets pruning work when the
-// strong candidates are spread thinly across many shards. A skipped
-// pair's score is then strictly below the final k-th best real score
-// overall, so the per-shard result slices may retain slightly
-// different tails than MatchSharded's, but never a candidate that
-// could reach the merged TopK, and never drop one that could. With
-// AllowPartial the threshold is tracked per shard instead: a shard
-// either contributes its full TopK ranking or nothing, and a global
-// threshold would let a failed shard's scores prune a surviving
-// shard's candidates.
-//
-// Requires opt.TopK > 0: without a K there is no k-th score to prune
-// against — use MatchSharded. Cancellation, AllowPartial and KeepCubes
-// behave exactly as in MatchSharded.
-func MatchShardedPruned(ctx context.Context, incoming *schema.Schema, shards []BoundedShard, cfg Config, opt BatchOptions) ([][]*Result, PruneStats, []ShardError, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.TopK <= 0 {
-		return nil, PruneStats{}, nil, fmt.Errorf("core: pruned match requires TopK > 0")
-	}
-	plain := make([]Shard, len(shards))
-	for si, sh := range shards {
-		if len(sh.Bounds) != len(sh.Candidates) {
-			return nil, PruneStats{}, nil, fmt.Errorf("core: shard %d has %d bounds for %d candidates",
-				si, len(sh.Bounds), len(sh.Candidates))
-		}
-		plain[si] = sh.Shard
-	}
-	results, err := validateBatch(incoming, plain, cfg)
-	if err != nil {
-		return nil, PruneStats{}, nil, err
-	}
-	if ctx.Err() != nil {
-		return nil, PruneStats{}, nil, context.Cause(ctx)
-	}
-
-	type boundedPair struct {
-		shard, cand int
-		bound       float64
-	}
-	var stats PruneStats
-	var pairs []boundedPair
-	for si, sh := range shards {
-		stats.Candidates += len(sh.Candidates)
-		for ci := range sh.Candidates {
-			b := sh.Bounds[ci]
-			if math.IsInf(b, -1) {
-				stats.Skipped++
-				continue
-			}
-			pairs = append(pairs, boundedPair{si, ci, b})
-		}
-	}
-	if len(pairs) == 0 {
-		return results, stats, nil, nil
-	}
-	// Descending bound order: the pairs most likely to populate the
-	// top K run first, raising the threshold as early as possible.
-	// Within one shard the order is descending too, so the first
-	// skipped pair proves every later pair of that shard skippable —
-	// the shard is "cut" and its tail drains at counter speed.
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].bound != pairs[b].bound {
-			return pairs[a].bound > pairs[b].bound
-		}
-		if pairs[a].shard != pairs[b].shard {
-			return pairs[a].shard < pairs[b].shard
-		}
-		return pairs[a].cand < pairs[b].cand
-	})
-
-	env := setupBatch(ctx, incoming, plain, cfg)
-	defer env.close()
-	errs := newBatchErrs(len(shards))
-	// One global tracker unless AllowPartial forces per-shard ones (see
-	// the doc comment). thetaOf maps a shard to its tracker either way.
-	ntrack := 1
-	if opt.AllowPartial {
-		ntrack = len(shards)
-	}
-	thetas := make([]thetaTracker, ntrack)
-	for i := range thetas {
-		thetas[i].init(opt.TopK)
-	}
-	thetaOf := func(shard int) *thetaTracker {
-		if opt.AllowPartial {
-			return &thetas[shard]
-		}
-		return &thetas[0]
-	}
-	shardCut := make([]atomic.Bool, len(shards))
-	var matched, skipped atomic.Int64
-
-	var next atomic.Int64
-	work := func() {
-		for {
-			if ctx.Err() != nil || errs.failed() {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(pairs) {
-				return
-			}
-			p := pairs[i]
-			if errs.shardDown[p.shard].Load() {
-				continue
-			}
-			if shardCut[p.shard].Load() {
-				skipped.Add(1)
-				continue
-			}
-			if p.bound < thetaOf(p.shard).theta() {
-				// Safe skip: real <= bound < theta <= the final k-th best
-				// score this tracker covers, strictly — the merged TopK cut
-				// would drop this pair too, even on ties. The cut latch
-				// stays per shard: within one shard pairs arrive in
-				// descending bound order, and theta only rises, so the
-				// first skip proves the shard's tail skippable.
-				shardCut[p.shard].Store(true)
-				skipped.Add(1)
-				continue
-			}
-			res, err := matchPair(env.bctxs[p.shard], env.idx1s[p.shard], incoming,
-				shards[p.shard].Candidates[p.cand], cfg, env.arena, env.caches[p.shard], opt.KeepCubes)
-			if err != nil {
-				if opt.AllowPartial && ctx.Err() == nil {
-					errs.failShard(p.shard, err)
-					continue
-				}
-				errs.fail(err)
-				return
-			}
-			results[p.shard][p.cand] = res
-			thetaOf(p.shard).push(res.SchemaSim)
-			matched.Add(1)
-		}
-	}
-	runPairWorkers(env.budgetOwner, len(pairs), work)
-	if ctx.Err() != nil {
-		return nil, PruneStats{}, nil, context.Cause(ctx)
-	}
-	firstErr, shardErrs := errs.finish()
-	if firstErr != nil {
-		return nil, PruneStats{}, nil, firstErr
-	}
-	for _, se := range shardErrs {
-		results[se.Shard] = nil
-	}
-	stats.Matched = int(matched.Load())
-	stats.Skipped += int(skipped.Load())
-	for _, shardResults := range results {
-		pruneSparseTopK(shardResults, opt.TopK)
-	}
-	return results, stats, shardErrs, nil
-}
-
-// MatchAllPruned is the single-shard form of MatchShardedPruned — the
-// pruned counterpart of MatchAll. Results are bit-identical to
-// MatchAll with the same TopK given admissible bounds without -Inf
-// exclusions.
-func MatchAllPruned(ctx context.Context, mctx *match.Context, incoming *schema.Schema, candidates []*schema.Schema, bounds []float64, cfg Config, opt BatchOptions) ([]*Result, PruneStats, error) {
-	if mctx == nil {
-		mctx = &match.Context{}
-	}
-	opt.AllowPartial = false
-	results, stats, _, err := MatchShardedPruned(ctx, incoming,
-		[]BoundedShard{{Shard: Shard{Ctx: mctx, Candidates: candidates}, Bounds: bounds}}, cfg, opt)
-	if err != nil {
-		return nil, PruneStats{}, err
-	}
-	return results[0], stats, nil
 }

@@ -9,22 +9,19 @@ import (
 	"repro/internal/workload"
 )
 
-// shardsOf splits candidates into n round-robin groups, each with a
-// fresh context — the per-shard analyzer layout of a sharded store.
-func shardsOf(candidates []*schema.Schema, n int) []Shard {
-	shards := make([]Shard, n)
-	for i := range shards {
-		shards[i].Ctx = match.NewContext()
-	}
+// groupsOf splits candidates into n round-robin groups — the layout of
+// a sharded store's candidates.
+func groupsOf(candidates []*schema.Schema, n int) [][]*schema.Schema {
+	groups := make([][]*schema.Schema, n)
 	for i, c := range candidates {
-		s := &shards[i%n]
-		s.Candidates = append(s.Candidates, c)
+		groups[i%n] = append(groups[i%n], c)
 	}
-	return shards
+	return groups
 }
 
-// TestMatchShardedGolden pins MatchSharded bit-identical to a direct
-// Match per pair, for several shard counts and worker bounds.
+// TestMatchShardedGolden pins MatchBatch over candidate groups
+// bit-identical to a direct Match per pair, for several group counts
+// and worker bounds.
 func TestMatchShardedGolden(t *testing.T) {
 	all := workload.Candidates(9)
 	incoming, candidates := all[0], all[1:]
@@ -44,8 +41,8 @@ func TestMatchShardedGolden(t *testing.T) {
 		for _, workers := range []int{1, 0} {
 			cfg := cfg
 			cfg.Workers = workers
-			shards := shardsOf(candidates, nShards)
-			got, shardErrs, err := MatchSharded(context.Background(), incoming, shards, cfg, BatchOptions{})
+			shards := groupsOf(candidates, nShards)
+			got, _, shardErrs, err := MatchBatch(context.Background(), match.NewContext(), incoming, shards, nil, cfg, BatchOptions{})
 			if len(shardErrs) != 0 {
 				t.Fatalf("unexpected shard errors: %v", shardErrs)
 			}
@@ -60,17 +57,17 @@ func TestMatchShardedGolden(t *testing.T) {
 					w := want[orig]
 					if res.SchemaSim != w.SchemaSim {
 						t.Errorf("shards=%d workers=%d %s: sim %v, want %v",
-							nShards, workers, shards[si].Candidates[ci].Name, res.SchemaSim, w.SchemaSim)
+							nShards, workers, shards[si][ci].Name, res.SchemaSim, w.SchemaSim)
 					}
 					gc, wc := res.Mapping.Correspondences(), w.Mapping.Correspondences()
 					if len(gc) != len(wc) {
 						t.Fatalf("shards=%d workers=%d %s: %d correspondences, want %d",
-							nShards, workers, shards[si].Candidates[ci].Name, len(gc), len(wc))
+							nShards, workers, shards[si][ci].Name, len(gc), len(wc))
 					}
 					for k := range gc {
 						if gc[k] != wc[k] {
 							t.Errorf("shards=%d workers=%d %s: corr %d = %v, want %v",
-								nShards, workers, shards[si].Candidates[ci].Name, k, gc[k], wc[k])
+								nShards, workers, shards[si][ci].Name, k, gc[k], wc[k])
 						}
 					}
 				}
@@ -79,14 +76,13 @@ func TestMatchShardedGolden(t *testing.T) {
 	}
 }
 
-// TestMatchShardedTopK prunes per shard: each shard keeps its K best,
-// identical to a per-shard MatchAll with the same option.
+// TestMatchShardedTopK prunes per group: each group keeps its K best,
+// identical to a single-group batch over it with the same option.
 func TestMatchShardedTopK(t *testing.T) {
 	all := workload.Candidates(9)
 	incoming, candidates := all[0], all[1:]
 	cfg := DefaultConfig()
-	shards := shardsOf(candidates, 2)
-	got, _, err := MatchSharded(context.Background(), incoming, shards, cfg, BatchOptions{TopK: 2})
+	got, _, _, err := MatchBatch(context.Background(), match.NewContext(), incoming, groupsOf(candidates, 2), nil, cfg, BatchOptions{TopK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,34 +99,38 @@ func TestMatchShardedTopK(t *testing.T) {
 	}
 }
 
-// TestMatchShardedEdgeCases: empty shards, no candidates, nil context.
+// TestMatchShardedEdgeCases: no groups, empty groups, nil contexts.
 func TestMatchShardedEdgeCases(t *testing.T) {
 	all := workload.Candidates(2)
 	incoming := all[0]
 	cfg := DefaultConfig()
+	ctx := context.Background()
 
-	res, _, err := MatchSharded(context.Background(), incoming, nil, cfg, BatchOptions{})
+	res, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, nil, nil, cfg, BatchOptions{})
 	if err != nil || len(res) != 0 {
-		t.Errorf("no shards: res=%v err=%v", res, err)
+		t.Errorf("no groups: res=%v err=%v", res, err)
 	}
-	res, _, err = MatchSharded(context.Background(), incoming, []Shard{{Ctx: match.NewContext()}}, cfg, BatchOptions{})
+	res, _, _, err = MatchBatch(ctx, match.NewContext(), incoming, [][]*schema.Schema{nil}, nil, cfg, BatchOptions{})
 	if err != nil || len(res) != 1 || len(res[0]) != 0 {
-		t.Errorf("empty shard: res=%v err=%v", res, err)
+		t.Errorf("empty group: res=%v err=%v", res, err)
 	}
-	if _, _, err := MatchSharded(context.Background(), incoming, []Shard{{Candidates: all[1:]}}, cfg, BatchOptions{}); err == nil {
-		t.Error("nil shard context accepted")
+	// A nil match context runs on a zero-value one (throwaway
+	// analyses), exactly like Match.
+	res, _, _, err = MatchBatch(ctx, nil, incoming, [][]*schema.Schema{all[1:]}, nil, cfg, BatchOptions{})
+	if err != nil || len(res) != 1 || len(res[0]) != 1 || res[0][0] == nil {
+		t.Errorf("nil match context: res=%v err=%v", res, err)
 	}
-	if _, _, err := MatchSharded(context.Background(), incoming, nil, Config{}, BatchOptions{}); err == nil {
+	if _, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, nil, nil, Config{}, BatchOptions{}); err == nil {
 		t.Error("empty matcher set accepted")
 	}
 	// A nil request context is accepted (treated as Background).
-	if _, _, err := MatchSharded(nil, incoming, nil, cfg, BatchOptions{}); err != nil {
+	if _, _, _, err := MatchBatch(nil, match.NewContext(), incoming, nil, nil, cfg, BatchOptions{}); err != nil {
 		t.Errorf("nil request context: %v", err)
 	}
 	// A pre-canceled request context fails fast with its cause.
-	cctx, cancel := context.WithCancel(context.Background())
+	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, err := MatchSharded(cctx, incoming, shardsOf(all[1:], 1), cfg, BatchOptions{}); err == nil {
+	if _, _, _, err := MatchBatch(cctx, match.NewContext(), incoming, groupsOf(all[1:], 1), nil, cfg, BatchOptions{}); err == nil {
 		t.Error("pre-canceled context accepted")
 	}
 }

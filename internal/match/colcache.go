@@ -30,7 +30,7 @@ func persistentColumnLimit(idx *analysis.SchemaIndex) int {
 }
 
 // ColumnCache is the engine-scoped form of BatchCache: one column
-// cache per incoming-schema index, persistent across MatchAll batches
+// cache per incoming-schema index, persistent across batches
 // and repeated single Matches on the same engine. A cached column —
 // the similarity of one candidate name against every distinct
 // incoming name — is a pure function of (matcher configuration,
@@ -201,17 +201,18 @@ func (cc *ColumnCache) Export(idx *analysis.SchemaIndex) []ColumnArtifact {
 }
 
 // Seed installs previously exported columns for one incoming index —
-// the warm-restart path. The caller vouches that the artifacts were
-// exported for an identical index against sources with equal content;
-// existing columns are never overwritten, and the entry's byte bound
-// applies.
-func (cc *ColumnCache) Seed(idx *analysis.SchemaIndex, arts []ColumnArtifact) {
+// the warm-restart path — and returns how many it installed. The
+// caller vouches that the artifacts were exported for an identical
+// index against sources with equal content; existing columns are
+// never overwritten, and the entry's byte bound applies.
+func (cc *ColumnCache) Seed(idx *analysis.SchemaIndex, arts []ColumnArtifact) int {
 	if idx == nil || len(arts) == 0 {
-		return
+		return 0
 	}
 	bc := cc.ForIncoming(idx)
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
+	installed := 0
 	for _, a := range arts {
 		if len(a.Col) == 0 {
 			continue
@@ -222,8 +223,10 @@ func (cc *ColumnCache) Seed(idx *analysis.SchemaIndex, arts []ColumnArtifact) {
 		key := batchKey{owner: sharedOwner{key: a.OwnerKey, comb: a.Comb}, set: a.Set, name: a.Name}
 		if _, ok := bc.cols[key]; !ok {
 			bc.cols[key] = a.Col
+			installed++
 		}
 	}
+	return installed
 }
 
 // Invalidate drops every entry whose incoming schema is s (all entries

@@ -153,7 +153,9 @@ func TestColumnCacheExportSeed(t *testing.T) {
 	}
 
 	cc2 := NewColumnCache(0)
-	cc2.Seed(idx, arts)
+	if n := cc2.Seed(idx, arts); n != len(arts) {
+		t.Fatalf("Seed installed %d columns, want %d", n, len(arts))
+	}
 	bc2 := cc2.ForIncoming(idx)
 	col := bc2.column(owner, gridFull, "candA", len(want), func([]float64) {
 		t.Fatal("seeded column recomputed")
@@ -166,8 +168,10 @@ func TestColumnCacheExportSeed(t *testing.T) {
 	if st := cc2.Stats(); st.Hits != 1 {
 		t.Fatalf("seeded read not a hit: %+v", st)
 	}
-	// Seeding never overwrites a live column.
-	cc2.Seed(idx, []ColumnArtifact{{OwnerKey: "name", Comb: 0, Set: gridFull, Name: "candA", Col: []float64{9, 9}}})
+	// Seeding never overwrites a live column, and does not count it.
+	if n := cc2.Seed(idx, []ColumnArtifact{{OwnerKey: "name", Comb: 0, Set: gridFull, Name: "candA", Col: []float64{9, 9}}}); n != 0 {
+		t.Fatalf("Seed over a live column reported %d installed, want 0", n)
+	}
 	col = bc2.column(owner, gridFull, "candA", len(want), func([]float64) {
 		t.Fatal("seeded column recomputed")
 	})

@@ -72,11 +72,11 @@ type Context struct {
 	sem chan struct{}
 	// arena, when set (WithArena), recycles the float64 backing
 	// storage of the matchers' matrices and similarity grids. The
-	// batch scheduler installs one arena per MatchAll call; without
+	// batch scheduler installs one arena per batch; without
 	// one every acquisition is a plain allocation.
 	arena *simcube.Arena
 	// batch, when set (WithBatchCache), memoizes distinct-name
-	// similarity columns across the pairs of one MatchAll batch: the
+	// similarity columns across the pairs of one batch: the
 	// incoming side of every pair is the same schema, so a candidate
 	// name seen again (same name in another candidate, or a later
 	// batch round) reuses its scored column instead of re-running the
@@ -182,7 +182,7 @@ func (c *Context) releaseGrid(g []float64) { c.Arena().ReleaseFloats(g) }
 //
 // The cache must not outlive its incoming schema analysis, matcher
 // configuration or sources. Two lifetimes satisfy that: the batch
-// scheduler creates one per MatchAll call for a transient incoming
+// scheduler creates one per batch for a transient incoming
 // schema and drops it with the batch, and ColumnCache keys one per
 // retained incoming index — whose immutability freezes the incoming
 // names and source versions — dropping it when the index goes stale.
@@ -290,7 +290,7 @@ func (bc *BatchCache) column(owner any, set int8, name string, n int, compute fu
 // WithBatchCache returns a shallow copy of the context with a
 // per-batch column cache installed (nil uninstalls). The cache is only
 // valid while the incoming schema, matcher set and auxiliary sources
-// stay fixed — the MatchAll scheduler's contract.
+// stay fixed — the batch scheduler's contract.
 func (c *Context) WithBatchCache(bc *BatchCache) *Context {
 	out := &Context{}
 	if c != nil {
@@ -325,15 +325,6 @@ func (c *Context) WithCancel(ctx context.Context) *Context {
 		out.done = ctx.Done()
 	}
 	return out
-}
-
-// Cancellation returns the installed cancellation source, nil when the
-// context does not observe one.
-func (c *Context) Cancellation() context.Context {
-	if c == nil {
-		return nil
-	}
-	return c.cancel
 }
 
 // Err reports why the context's cancellation source was canceled, nil
@@ -439,17 +430,6 @@ func (c *Context) WithWorkerBudget() *Context {
 	}
 	out := c.WithWorkers(n)
 	out.sem = make(chan struct{}, out.workers())
-	return out
-}
-
-// WithBudgetOf returns a copy of the context drawing on the same
-// worker budget (and bound) as owner, which must carry one installed
-// via WithWorkerBudget. The sharded batch scheduler uses it to run
-// per-shard contexts — each with its own analyzer cache — under one
-// global budget, so shard count never multiplies the parallelism.
-func (c *Context) WithBudgetOf(owner *Context) *Context {
-	out := c.WithWorkers(owner.Workers)
-	out.sem = owner.sem
 	return out
 }
 

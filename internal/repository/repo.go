@@ -857,9 +857,9 @@ func (r *Repo) getSchemaLocked(name string) (*schema.Schema, error) {
 
 // SwapSchema stores a schema and returns the instance it replaced (nil
 // when the name was new), atomically with respect to other schema
-// mutations — callers maintaining per-instance caches (the engines'
-// analysis caches) invalidate exactly the instance that left the
-// store.
+// mutations — callers maintaining per-instance caches (the match
+// engine's analysis cache) invalidate exactly the instance that left
+// the store.
 func (r *Repo) SwapSchema(s *schema.Schema) (prev *schema.Schema, err error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

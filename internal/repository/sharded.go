@@ -130,7 +130,7 @@ func (s *Sharded) ShardFor(name string) int {
 }
 
 // Shard returns the i-th shard's underlying Repo — the unit of
-// locking, analysis caching and batch fan-out for the layers above.
+// locking, logging and paging.
 func (s *Sharded) Shard(i int) *Repo { return s.shards[i] }
 
 // schemaShard routes a schema name to its shard.
@@ -181,7 +181,7 @@ func (s *Sharded) Schemas() []*schema.Schema {
 }
 
 // ShardSchemas returns the i-th shard's schemas sorted by name — the
-// per-shard candidate group the batch fan-out matches independently.
+// candidate group a partial batch match can drop as a unit.
 func (s *Sharded) ShardSchemas(i int) []*schema.Schema { return s.shards[i].Schemas() }
 
 // PutMapping stores a match result in the shard of its source schema.

@@ -38,6 +38,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read the whole answer: its end arrives only after the handler —
+	// and the request instruments wrapped around it — returned.
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("match: HTTP %d, want 200", resp.StatusCode)

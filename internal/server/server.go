@@ -62,9 +62,9 @@ type Match struct {
 }
 
 // Backend is what the server serves: repository storage plus the batch
-// match operation. The single-store and sharded repositories both
-// provide it (through thin adapters in the public coma package), so
-// the backing layout is a deployment choice invisible to clients.
+// match operation. The public coma package provides it for a sharded
+// repository — N storage shards, one match engine — so the shard count
+// is a deployment choice invisible to clients.
 type Backend interface {
 	// PutSchema stores (or replaces) a schema, reporting whether an
 	// earlier schema of the same name was replaced — atomically, so
@@ -79,9 +79,9 @@ type Backend interface {
 	// stored schema (excluding same-named ones), returning outcomes
 	// ordered by descending combined schema similarity; topK > 0 keeps
 	// only the K best. A done ctx stops the match cooperatively and
-	// returns the cancellation cause. With allowPartial, a sharded
-	// backend degrades failed shards to ShardFailures instead of
-	// failing the whole match; single-store backends return no
+	// returns the cancellation cause. With allowPartial, the backend
+	// degrades shards with failing candidates to ShardFailures instead
+	// of failing the whole match; unsharded backends return no
 	// failures. With exhaustive, the backend bypasses its candidate-
 	// pruning index (if any) and runs the full pipeline on every
 	// candidate — results are bit-identical either way.

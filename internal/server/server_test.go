@@ -84,12 +84,12 @@ func (b *testBackend) MatchIncoming(ctx context.Context, incoming *schema.Schema
 		}
 	}
 	opt := core.BatchOptions{TopK: topK}
-	results, err := core.MatchAll(ctx, b.ctx, incoming, candidates, b.cfg, opt)
+	groups, _, _, err := core.MatchBatch(ctx, b.ctx, incoming, [][]*schema.Schema{candidates}, nil, b.cfg, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	var out []server.Match
-	for i, res := range results {
+	for i, res := range groups[0] {
 		if res != nil {
 			out = append(out, server.Match{Schema: candidates[i], Result: res})
 		}

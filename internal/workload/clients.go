@@ -14,8 +14,8 @@ import (
 // "<Base>@c<i>" so no incoming schema collides with a stored candidate
 // (a name collision would silently drop that candidate from the match)
 // or with another client's traffic. Every schema is a fresh instance,
-// like Candidates — per-shard analyzer caches see each client's
-// incoming schemas as distinct, exactly as a server would.
+// like Candidates — analyzer caches see each client's incoming
+// schemas as distinct, exactly as a server would.
 func Clients(n int) [][]*schema.Schema {
 	builders := []func() *schema.Schema{
 		buildCIDX, buildExcel, buildNoris, buildParagon, buildApertum,

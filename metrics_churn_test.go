@@ -113,11 +113,21 @@ func TestMetricsMonotonicUnderChurn(t *testing.T) {
 	close(stop)
 	<-watcherDone
 
-	m, ok := handler.Metrics()
-	if !ok {
-		t.Fatal("Metrics() not ok after churn")
+	// A request is counted once its handler returns, which can be just
+	// after the client has decoded the response: wait for the last count
+	// to land (bounded), then require the exact total.
+	want := float64(requests.Load())
+	var m coma.ServerMetrics
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		var ok bool
+		if m, ok = handler.Metrics(); !ok {
+			t.Fatal("Metrics() not ok after churn")
+		}
+		if m.Sum("coma_http_requests_total") >= want || time.Now().After(deadline) {
+			break
+		}
 	}
-	if got, want := m.Sum("coma_http_requests_total"), float64(requests.Load()); got != want {
+	if got := m.Sum("coma_http_requests_total"); got != want {
 		t.Errorf("coma_http_requests_total = %v, want %v (requests issued)", got, want)
 	}
 	if got, want := m.Value("coma_match_exec_seconds_count"), float64(workers*iters); got != want {

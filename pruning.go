@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/candidates"
 	"repro/internal/core"
@@ -12,14 +13,14 @@ import (
 )
 
 // This file wires the candidate-pruning index (internal/candidates)
-// into the repository match paths. With WithCandidateIndex, every
-// engine maintains an inverted index over its stored schemas' analysis
+// into the repository match paths. With WithCandidateIndex, the engine
+// maintains an inverted index over its stored schemas' analysis
 // artifacts (name tokens, dictionary term ids, generic type classes);
 // Repository.MatchIncoming and ShardedRepository.MatchIncoming score
 // each stored candidate with a cheap admissible upper bound on its
-// combined schema similarity and hand the bounds to the pruned batch
-// scheduler (core.MatchShardedPruned), which skips every candidate
-// whose bound cannot reach the running k-th best real score. Results
+// combined schema similarity and hand the bounds to the batch
+// scheduler (core.MatchBatch), which skips every candidate whose bound
+// cannot reach the running k-th best real score. Results
 // are bit-identical to the exhaustive scan; only the amount of work
 // changes. The index falls back to the exhaustive scan whenever the
 // bound would not be provably admissible (custom matchers, feedback,
@@ -45,7 +46,7 @@ type CandidateIndexStats = candidates.Stats
 // WithCandidateIndex equips the engine with a candidate-pruning index:
 // an inverted index over the stored schemas' name tokens, dictionary
 // term ids and generic type classes, maintained incrementally as the
-// repository backends store and delete schemas (never rebuilt from
+// served repository stores and deletes schemas (never rebuilt from
 // scratch) and filled lazily for schemas stored before the option took
 // effect. Repository.MatchIncoming and its sharded form then prune
 // TopK batches through it — skipping every candidate whose upper bound
@@ -103,102 +104,74 @@ func (e *Engine) pruneSpec(o *matchAllOptions) *candidates.Spec {
 }
 
 // candidateBounds computes one admissible upper bound per candidate
-// from the engine's index, opportunistically (re)indexing stale or
-// not-yet-indexed candidates first — analyses come from the engine's
-// cache, so a freshly indexed candidate pays nothing the full match
-// would not have paid anyway.
-func (e *Engine) candidateBounds(ctx context.Context, spec *candidates.Spec, incoming *Schema, cands []*Schema) ([]float64, error) {
-	idx := e.o.candIdx
-	mctx := e.o.ctx
-	for _, s := range idx.Stale(cands, mctx.Sources()) {
+// from the engine's index, one slice per group, opportunistically
+// (re)indexing stale or not-yet-indexed candidates first — analyses
+// come from the engine's cache, so a freshly indexed candidate pays
+// nothing the full match would not have paid anyway. The index is
+// consulted once over every group's candidates (Bounds walks every
+// posting of the probe's keys, so a call per group would repeat that
+// walk), and MaxCandidates cuts across all groups: the merged ranking
+// is what the cap is about, not any one shard's.
+func (e *Engine) candidateBounds(ctx context.Context, spec *candidates.Spec, incoming *Schema, groups [][]*Schema, maxCandidates int) ([][]float64, error) {
+	var all []*Schema
+	for _, g := range groups {
+		all = append(all, g...)
+	}
+	idx, mctx := e.o.candIdx, e.o.ctx
+	for _, s := range idx.Stale(all, mctx.Sources()) {
 		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)
 		}
 		idx.Add(s, mctx.Index(s))
 	}
-	probe := candidates.NewProbe(spec, mctx.Index(incoming))
-	return idx.Bounds(probe, cands), nil
+	flat := idx.Bounds(candidates.NewProbe(spec, mctx.Index(incoming)), all)
+	limitBounds(flat, maxCandidates)
+	bounds := make([][]float64, len(groups))
+	for i, g := range groups {
+		bounds[i], flat = flat[:len(g):len(g)], flat[len(g):]
+	}
+	return bounds, nil
 }
 
-// limitBounds applies MaxCandidates across shards: every bound outside
-// the m highest (ties breaking toward the earlier shard, then the
-// earlier candidate, so the cut is deterministic) becomes -Inf — the
-// scheduler's "exclude outright" sentinel. m <= 0 means no cap.
-func limitBounds(boundsByShard [][]float64, m int) {
-	if m <= 0 {
+// limitBounds applies MaxCandidates: every bound outside the m highest
+// (ties breaking toward the earlier candidate, so the cut is
+// deterministic) becomes -Inf — the scheduler's "exclude outright"
+// sentinel. m <= 0 means no cap.
+func limitBounds(bounds []float64, m int) {
+	if m <= 0 || len(bounds) <= m {
 		return
 	}
-	total := 0
-	for _, bs := range boundsByShard {
-		total += len(bs)
+	order := make([]int, len(bounds))
+	for i := range order {
+		order[i] = i
 	}
-	if total <= m {
-		return
+	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] > bounds[order[b]] })
+	for _, i := range order[m:] {
+		bounds[i] = math.Inf(-1)
 	}
-	type ref struct {
-		si, ci int
-		b      float64
-	}
-	refs := make([]ref, 0, total)
-	for si, bs := range boundsByShard {
-		for ci, b := range bs {
-			refs = append(refs, ref{si, ci, b})
-		}
-	}
-	sort.Slice(refs, func(a, b int) bool {
-		if refs[a].b != refs[b].b {
-			return refs[a].b > refs[b].b
-		}
-		if refs[a].si != refs[b].si {
-			return refs[a].si < refs[b].si
-		}
-		return refs[a].ci < refs[b].ci
-	})
-	for _, r := range refs[m:] {
-		boundsByShard[r.si][r.ci] = math.Inf(-1)
-	}
-}
-
-// matchCandidates runs one repository batch, pruned when the engine
-// and options allow it. The returned stats are non-nil exactly when
-// the pruned scheduler ran.
-func (e *Engine) matchCandidates(ctx context.Context, incoming *Schema, cands []*Schema, o *matchAllOptions) ([]*Result, *PruneStats, error) {
-	if spec := e.pruneSpec(o); spec != nil {
-		bounds, err := e.candidateBounds(ctx, spec, incoming, cands)
-		if err != nil {
-			return nil, nil, err
-		}
-		limitBounds([][]float64{bounds}, o.maxCandidates)
-		results, stats, err := core.MatchAllPruned(ctx, e.o.ctx, incoming, cands, bounds, e.config(),
-			core.BatchOptions{TopK: o.topK, KeepCubes: o.keepCubes})
-		if err != nil {
-			return nil, nil, err
-		}
-		return results, &stats, nil
-	}
-	results, err := core.MatchAll(ctx, e.o.ctx, incoming, cands, e.config(),
-		core.BatchOptions{TopK: o.topK, KeepCubes: o.keepCubes})
-	return results, nil, err
 }
 
 // indexStored adds one stored schema to the engine's candidate index
 // (replacing a previous entry for the same instance). No-op without
 // WithCandidateIndex. The caller is expected to have pinned the schema
-// — the repository backends do — so the analysis built here stays
-// cached for the matches that follow.
+// — the served backend does — so the analysis built here stays cached
+// for the matches that follow.
 func (e *Engine) indexStored(s *schema.Schema) {
 	if e.o.candIdx != nil {
 		e.o.candIdx.Add(s, e.o.ctx.Index(s))
 	}
 }
 
-// unindexStored removes one schema instance from the engine's
-// candidate index. No-op without WithCandidateIndex or for instances
-// never indexed.
-func (e *Engine) unindexStored(s *schema.Schema) {
+// dropStored retires a schema instance the store no longer holds: it
+// leaves the candidate index, loses its pin, and its cached analysis
+// and persistent columns are invalidated, so a long-running server
+// does not accumulate dead analyses across re-imports and deletes.
+func (e *Engine) dropStored(s *schema.Schema) {
 	if e.o.candIdx != nil {
 		e.o.candIdx.Remove(s)
 	}
+	e.Release(s)
+	e.Invalidate(s)
 }
 
 // CandidateIndexStats reports the engine's candidate index segment
@@ -210,21 +183,25 @@ func (e *Engine) CandidateIndexStats() (st CandidateIndexStats, ok bool) {
 	return e.o.candIdx.Stats(), true
 }
 
+// pruneLog records a repository's pruned batches: the most recent
+// batch's statistics and the cumulative counters behind /readyz and
+// /metrics. Both repository types embed it.
+type pruneLog struct {
+	last   atomic.Pointer[PruneStats]
+	totals core.PruneCounters
+}
+
+func (p *pruneLog) record(ps PruneStats) {
+	p.last.Store(&ps)
+	p.totals.Record(ps)
+}
+
 // LastPruneStats returns the prune statistics of the most recent
 // MatchIncoming batch that ran through the candidate-pruning index
 // (zero value if none did — engine without WithCandidateIndex,
 // exhaustive batches, unboundable configurations).
-func (r *Repository) LastPruneStats() PruneStats {
-	if ps := r.lastPrune.Load(); ps != nil {
-		return *ps
-	}
-	return PruneStats{}
-}
-
-// LastPruneStats is Repository.LastPruneStats for the sharded store:
-// the merged statistics of the most recent pruned fan-out.
-func (r *ShardedRepository) LastPruneStats() PruneStats {
-	if ps := r.lastPrune.Load(); ps != nil {
+func (p *pruneLog) LastPruneStats() PruneStats {
+	if ps := p.last.Load(); ps != nil {
 		return *ps
 	}
 	return PruneStats{}
@@ -232,8 +209,4 @@ func (r *ShardedRepository) LastPruneStats() PruneStats {
 
 // PruneTotals returns the cumulative pruning counters across every
 // pruned MatchIncoming batch since the repository opened.
-func (r *Repository) PruneTotals() PruneTotals { return r.pruneTotals.Totals() }
-
-// PruneTotals returns the cumulative pruning counters across every
-// pruned fan-out since the sharded repository opened.
-func (r *ShardedRepository) PruneTotals() PruneTotals { return r.pruneTotals.Totals() }
+func (p *pruneLog) PruneTotals() PruneTotals { return p.totals.Totals() }

@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/repository"
 	"repro/internal/reuse"
 )
@@ -18,19 +15,7 @@ import (
 // embedded log-structured engine in internal/repository.
 type Repository struct {
 	*repository.Repo
-	// lastPrune records the most recent pruned MatchIncoming batch's
-	// statistics (see LastPruneStats).
-	lastPrune atomic.Pointer[PruneStats]
-	// pruneTotals accumulates every pruned batch's statistics — the
-	// monotonic counters behind PruneTotals and the served metrics.
-	pruneTotals core.PruneCounters
-	// storage carries the store's durability instruments (fsync,
-	// group-commit, checkpoint timings and recovery outcomes).
-	storage *repository.StorageMetrics
-	// warmOnce gates the one startup warm restore; warm holds its
-	// outcome (see RestoreWarm / WarmStart).
-	warmOnce sync.Once
-	warm     atomic.Pointer[WarmStats]
+	pruneLog
 }
 
 // RepositoryStats summarizes repository contents and log sizes.
@@ -117,11 +102,7 @@ func OpenRepository(path string, opts ...Option) (*Repository, error) {
 	if err != nil {
 		return nil, err
 	}
-	storage := repository.NewStorageMetrics()
-	ropts := []repository.OpenOption{
-		repository.WithSyncPolicy(o.syncPolicy),
-		repository.WithMetrics(storage),
-	}
+	ropts := []repository.OpenOption{repository.WithSyncPolicy(o.syncPolicy)}
 	if o.pageCache > 0 {
 		ropts = append(ropts, repository.WithPageCache(o.pageCache))
 	}
@@ -129,7 +110,7 @@ func OpenRepository(path string, opts ...Option) (*Repository, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coma: open repository %s: %w", path, err)
 	}
-	return &Repository{Repo: r, storage: storage}, nil
+	return &Repository{Repo: r}, nil
 }
 
 // SchemaMatcher returns a reuse-oriented Schema matcher reading the
@@ -157,11 +138,11 @@ type IncomingMatch struct {
 }
 
 // MatchIncoming matches an incoming schema against every schema stored
-// in the repository in one Engine.MatchAll batch — the repository
-// server's core operation: a new schema arrives and the store answers
-// with the most similar known schemas and their mappings. Candidates
-// sharing the incoming schema's name are skipped. Outcomes are ordered
-// by descending combined schema similarity (name breaking ties); with
+// in the repository in one batch through e — the repository server's
+// core operation: a new schema arrives and the store answers with the
+// most similar known schemas and their mappings. Candidates sharing
+// the incoming schema's name are skipped. Outcomes are ordered by
+// descending combined schema similarity (name breaking ties); with
 // TopK(n) only the n best survive.
 func (r *Repository) MatchIncoming(e *Engine, incoming *Schema, opts ...MatchAllOption) ([]IncomingMatch, error) {
 	return r.MatchIncomingContext(context.Background(), e, incoming, opts...)
@@ -173,42 +154,52 @@ func (r *Repository) MatchIncoming(e *Engine, incoming *Schema, opts ...MatchAll
 // returns the cancellation cause. A never-canceled ctx yields results
 // bit-identical to MatchIncoming.
 func (r *Repository) MatchIncomingContext(ctx context.Context, e *Engine, incoming *Schema, opts ...MatchAllOption) ([]IncomingMatch, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var o matchAllOptions
-	for _, opt := range opts {
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
-	}
-	// The analyzer batch window opens BEFORE the store snapshot: a
-	// DELETE completing in the gap between snapshot and the scheduler's
-	// own window would lay no tombstone (no window open yet), and this
-	// batch could re-publish the deleted schema's analysis. With the
-	// window bracketing the snapshot, any delete that the snapshot can
-	// still reference tombstones against it.
-	end := e.o.ctx.BeginAnalysis()
-	defer end()
-	stored := r.Schemas()
-	candidates := stored[:0:0]
-	for _, s := range stored {
-		if s.Name != incoming.Name {
-			candidates = append(candidates, s)
-		}
-	}
-	results, stats, err := e.matchCandidates(ctx, incoming, candidates, &o)
+	o, err := buildMatchAllOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	if stats != nil {
-		r.lastPrune.Store(stats)
-		r.pruneTotals.Record(*stats)
+	o.allowPartial = false // one store, no shard to degrade
+	out, _, err := e.matchIncoming(ctx, incoming, o, &r.pruneLog, func() [][]*Schema {
+		return [][]*Schema{r.Schemas()}
+	})
+	return out, err
+}
+
+// matchIncoming is the one MatchIncoming path of both repository
+// types; snapshot lists the stored schemas, one group per storage
+// shard. The engine's analyzer window opens BEFORE the snapshot: a
+// DELETE completing in the gap between snapshot and the scheduler's
+// own window would lay no tombstone, and this batch could re-publish
+// the deleted schema's analysis. Candidates sharing the incoming
+// schema's name are dropped, a pruned batch's statistics go to
+// prunes, and the groups merge into one ranking — descending combined
+// schema similarity, name breaking ties — cut to TopK.
+func (e *Engine) matchIncoming(ctx context.Context, incoming *Schema, o *matchAllOptions, prunes *pruneLog, snapshot func() [][]*Schema) ([]IncomingMatch, []ShardError, error) {
+	end := e.o.ctx.BeginAnalysis()
+	defer end()
+	groups := snapshot()
+	for i, stored := range groups {
+		cands := stored[:0:0]
+		for _, s := range stored {
+			if s.Name != incoming.Name {
+				cands = append(cands, s)
+			}
+		}
+		groups[i] = cands
 	}
-	out := make([]IncomingMatch, 0, len(results))
-	for i, res := range results {
-		if res != nil {
-			out = append(out, IncomingMatch{Schema: candidates[i], Result: res})
+	results, stats, groupErrs, err := e.matchBatch(ctx, incoming, groups, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	if stats != nil {
+		prunes.record(*stats)
+	}
+	var out []IncomingMatch
+	for gi, rs := range results {
+		for ci, res := range rs {
+			if res != nil {
+				out = append(out, IncomingMatch{Schema: groups[gi][ci], Result: res})
+			}
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -217,7 +208,10 @@ func (r *Repository) MatchIncomingContext(ctx context.Context, e *Engine, incomi
 		}
 		return out[i].Schema.Name < out[j].Schema.Name
 	})
-	return out, nil
+	if o.topK > 0 && len(out) > o.topK {
+		out = out[:o.topK]
+	}
+	return out, groupErrs, nil
 }
 
 // MatchCompose composes two match results sharing a schema into a new

@@ -6,32 +6,14 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/repository"
 	"repro/internal/schema"
 	"repro/internal/server"
 )
 
-// recoveryStatus converts one shard's recovery report to its /readyz
-// wire form.
-func recoveryStatus(shard int, rep *repository.RecoveryReport) server.RecoveryStatus {
-	return server.RecoveryStatus{
-		Shard:             shard,
-		Path:              rep.Path,
-		Recovered:         rep.Recovered,
-		SkippedBytes:      rep.SkippedBytes,
-		TruncatedBytes:    rep.TruncatedBytes,
-		Salvaged:          rep.Salvaged,
-		UpgradedV1:        rep.UpgradedV1,
-		CheckpointUsed:    rep.CheckpointUsed,
-		CheckpointDamaged: rep.CheckpointDamaged,
-		Clean:             rep.Clean(),
-	}
-}
-
-// ServeOption adjusts the HTTP front-end built by Repository.Handler
-// and ShardedRepository.Handler: per-request deadlines, admission
-// queue bounds, body caps and fault injection. The compute-side knobs
-// (matchers, workers, caches) stay on the engines' Options.
+// ServeOption adjusts the HTTP front-end built by
+// ShardedRepository.Handler: per-request deadlines, admission queue
+// bounds, body caps and fault injection. The compute-side knobs
+// (matchers, workers, caches) stay on the engine's Options.
 type ServeOption func(*server.Config)
 
 // WithMatchTimeout bounds every admitted match request: requests
@@ -106,62 +88,34 @@ func WithRequestLog(l *slog.Logger) ServeOption {
 // with (*server.Server).Metrics on the value Handler returns.
 type ServerMetrics = server.ServerMetrics
 
-// Handler returns the HTTP front-end exposing the repository over the
-// comaserve HTTP/JSON API (see package internal/server for the
-// endpoint contract): schema import and listing plus the batch match
-// of an incoming schema against every stored one, executed through e.
-// The returned *server.Server implements http.Handler; keep a
-// reference to call Drain before graceful shutdown (flips /readyz to
-// 503 and sheds new matches while in-flight ones finish).
-// In-flight match requests are bounded by e's worker count. Every
-// schema already stored is pinned in e's analysis cache — stored
-// analyses stay warm across requests, while inline incoming schemas'
-// analyses are evicted at batch end. Schemas added later through the
-// HTTP API are pinned by the backend; schemas slipped into the
-// repository directly (bypassing the handler) are served correctly
-// but stay unpinned — pin them via Engine.Pin if they will be matched
-// by name repeatedly. The mirror obligation holds for removal: a
-// schema deleted through the embedded repository API instead of HTTP
-// DELETE keeps its pin (and its cached analysis) until Engine.Release
-// — route store mutations through the served API, or pair direct ones
-// with Release+Invalidate.
-func (r *Repository) Handler(e *Engine, opts ...ServeOption) *server.Server {
-	for _, s := range r.Schemas() {
-		e.Pin(s)
-	}
-	// Seed the engine from the warm sidecar, if one survives
-	// validation; a no-op when absent or when RestoreWarm already ran.
-	r.RestoreWarm(e)
-	cfg := server.Config{
-		Backend: &singleBackend{repo: r, engine: e},
-		Workers: e.o.workers,
-		Shards:  1,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return server.New(cfg)
-}
-
 // Handler returns the HTTP front-end exposing the sharded repository
-// over the comaserve HTTP/JSON API. Matches fan out across the shards'
-// engines; in-flight match requests are bounded by the engines' worker
-// count. Every stored schema is pinned in every shard engine's
-// analysis cache (a schema's analysis can live outside its own shard —
-// the fan-out analyzes the incoming side through the first shard), so
-// stored analyses stay warm while inline ones die with their request.
-// As with Repository.Handler, mutate the store through the served API:
-// direct repository adds stay unpinned, and direct deletes keep their
-// pin until released on every shard engine. Match requests carrying
-// allowPartial degrade a failed shard to a partial, annotated ranking
-// instead of a failed request.
+// over the comaserve HTTP/JSON API (see package internal/server for
+// the endpoint contract): schema import and listing plus the batch
+// match of an incoming schema against every stored one, executed
+// through the store's engine. The returned *server.Server implements
+// http.Handler; keep a reference to call Drain before graceful
+// shutdown (flips /readyz to 503 and sheds new matches while in-flight
+// ones finish). In-flight match requests are bounded by the engine's
+// worker count. Every stored schema is pinned in the engine's analysis
+// cache, so stored analyses stay warm across requests while inline
+// incoming schemas' analyses are evicted at batch end. Schemas added
+// later through the HTTP API are pinned by the backend; schemas
+// slipped into the store directly (bypassing the handler) are served
+// correctly but stay unpinned — pin them via Engine().Pin if they will
+// be matched by name repeatedly. The mirror obligation holds for
+// removal: a schema deleted through the embedded repository API
+// instead of HTTP DELETE keeps its pin (and its cached analysis) until
+// Engine().Release — route store mutations through the served API, or
+// pair direct ones with Release+Invalidate. Match requests carrying
+// allowPartial degrade a shard with a failing candidate to a partial,
+// annotated ranking instead of a failed request.
 func (r *ShardedRepository) Handler(opts ...ServeOption) *server.Server {
 	for _, s := range r.Schemas() {
-		r.pinInstance(s)
+		r.engine.Pin(s)
 	}
 	cfg := server.Config{
-		Backend: &shardedBackend{repo: r},
-		Workers: r.engines[0].o.workers,
+		Backend: &backend{repo: r},
+		Workers: r.engine.o.workers,
 		Shards:  r.NumShards(),
 	}
 	for _, opt := range opts {
@@ -170,56 +124,12 @@ func (r *ShardedRepository) Handler(opts ...ServeOption) *server.Server {
 	return server.New(cfg)
 }
 
-// pageCacheStatus converts a buffer-pool snapshot to its /readyz wire
-// form.
-func pageCacheStatus(st PageCacheStats) server.PageCacheStatus {
-	return server.PageCacheStatus{
-		Capacity:  st.Capacity,
-		Resident:  st.Resident,
-		Pinned:    st.Pinned,
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-	}
+// backend adapts ShardedRepository to server.Backend.
+type backend struct {
+	repo *ShardedRepository
 }
 
-// warmStartStatus converts a warm-restore outcome to its /readyz wire
-// form.
-func warmStartStatus(ws WarmStats) server.WarmStartStatus {
-	return server.WarmStartStatus{
-		Attempted:        ws.Attempted,
-		Used:             ws.Used,
-		RestoredSchemas:  ws.Restored,
-		DiscardedSchemas: ws.Discarded,
-		Columns:          ws.Columns,
-	}
-}
-
-// toServerMatches converts ranked repository outcomes to the server's
-// backend shape.
-func toServerMatches(ms []IncomingMatch) []server.Match {
-	out := make([]server.Match, len(ms))
-	for i, m := range ms {
-		out[i] = server.Match{Schema: m.Schema, Result: m.Result}
-	}
-	return out
-}
-
-// toServerFailures converts shard errors to their wire shape.
-func toServerFailures(errs []ShardError) []server.ShardFailure {
-	if len(errs) == 0 {
-		return nil
-	}
-	out := make([]server.ShardFailure, len(errs))
-	for i, se := range errs {
-		out[i] = server.ShardFailure{Shard: se.Shard, Error: se.Err.Error()}
-	}
-	return out
-}
-
-// topKOpts builds the MatchAll options for a server-side topK and
-// exhaustive switch.
-func topKOpts(topK int, exhaustive bool) []MatchAllOption {
+func (b *backend) MatchIncoming(ctx context.Context, incoming *schema.Schema, topK int, allowPartial, exhaustive bool) ([]server.Match, []server.ShardFailure, error) {
 	var opts []MatchAllOption
 	if topK > 0 {
 		opts = append(opts, TopK(topK))
@@ -227,116 +137,6 @@ func topKOpts(topK int, exhaustive bool) []MatchAllOption {
 	if exhaustive {
 		opts = append(opts, Exhaustive())
 	}
-	return opts
-}
-
-// singleBackend adapts (Repository, Engine) to server.Backend.
-type singleBackend struct {
-	repo   *Repository
-	engine *Engine
-}
-
-func (b *singleBackend) MatchIncoming(ctx context.Context, incoming *schema.Schema, topK int, allowPartial, exhaustive bool) ([]server.Match, []server.ShardFailure, error) {
-	// A single store has no shard to degrade: allowPartial is accepted
-	// for wire compatibility and ignored.
-	ms, err := b.repo.MatchIncomingContext(ctx, b.engine, incoming, topKOpts(topK, exhaustive)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toServerMatches(ms), nil, nil
-}
-
-func (b *singleBackend) PutSchema(s *schema.Schema) (bool, error) {
-	// Pin before storing: once SwapSchema publishes the instance, a
-	// concurrent match may already use it as the incoming side, and an
-	// unpinned stored schema would have its analysis evicted at that
-	// batch's end. The analysis cache is keyed by schema identity; the
-	// replaced instance's pin and entry are dropped so a long-running
-	// server doesn't accumulate dead analyses across re-imports.
-	// SwapSchema reports that instance atomically, so concurrent
-	// imports of one name each release exactly the instance they
-	// displaced.
-	b.engine.Pin(s)
-	prev, err := b.repo.SwapSchema(s)
-	if err != nil {
-		b.engine.Release(s)
-		return false, err
-	}
-	// Incremental candidate-index maintenance rides the same pin
-	// lifecycle: the new instance is indexed (its analysis stays warm —
-	// it was just pinned), the displaced one unindexed, so the index is
-	// never rebuilt from scratch on mutation.
-	b.engine.indexStored(s)
-	if prev != nil && prev != s {
-		b.engine.unindexStored(prev)
-		b.engine.Release(prev)
-		b.engine.Invalidate(prev)
-	}
-	return prev != nil, nil
-}
-
-func (b *singleBackend) DeleteSchema(name string) (bool, error) {
-	prev, err := b.repo.TakeSchema(name)
-	if err != nil {
-		return false, err
-	}
-	if prev != nil {
-		b.engine.unindexStored(prev)
-		b.engine.Release(prev)
-		b.engine.Invalidate(prev)
-	}
-	return prev != nil, nil
-}
-
-func (b *singleBackend) GetSchema(name string) (*schema.Schema, bool) { return b.repo.GetSchema(name) }
-func (b *singleBackend) SchemaNames() []string                        { return b.repo.SchemaNames() }
-func (b *singleBackend) Stats() RepositoryStats                       { return b.repo.Stats() }
-
-func (b *singleBackend) Recovery() []server.RecoveryStatus {
-	return []server.RecoveryStatus{recoveryStatus(0, b.repo.RecoveryReport())}
-}
-
-func (b *singleBackend) PageCache() (server.PageCacheStatus, bool) {
-	return pageCacheStatus(b.repo.PageCacheStats()), true
-}
-
-func (b *singleBackend) WarmStart() (server.WarmStartStatus, bool) {
-	return warmStartStatus(b.repo.WarmStart()), true
-}
-
-func (b *singleBackend) IndexStats() (server.IndexReadiness, bool) {
-	st, ok := b.engine.CandidateIndexStats()
-	if !ok {
-		return server.IndexReadiness{}, false
-	}
-	out := server.IndexReadiness{
-		Schemas:        st.Schemas,
-		Postings:       st.Postings,
-		LastPruneRatio: b.repo.LastPruneStats().Ratio(),
-	}
-	fillPruneTotals(&out, b.repo.PruneTotals())
-	return out, true
-}
-
-func (b *singleBackend) CollectMetrics(reg *metrics.Registry) {
-	registerCacheMetrics(reg,
-		func() AnalyzerCacheStats { return b.engine.AnalyzerCacheStats() },
-		func() (ColumnCacheStats, bool) { return b.engine.ColumnCacheStats() })
-	registerPruneMetrics(reg, b.repo.PruneTotals)
-	registerPageCacheMetrics(reg, b.repo.PageCacheStats)
-	registerWarmMetrics(reg, b.repo.WarmStart)
-	reg.GaugeFunc("coma_schemas", "Schemas currently stored.",
-		func() float64 { return float64(b.repo.Stats().Schemas) })
-	b.repo.storage.Register(reg)
-}
-
-// shardedBackend adapts ShardedRepository to server.Backend.
-type shardedBackend struct {
-	repo *ShardedRepository
-}
-
-func (b *shardedBackend) MatchIncoming(ctx context.Context, incoming *schema.Schema, topK int, allowPartial, exhaustive bool) ([]server.Match, []server.ShardFailure, error) {
-	opts := topKOpts(topK, exhaustive)
 	if allowPartial {
 		opts = append(opts, AllowPartial())
 	}
@@ -344,116 +144,123 @@ func (b *shardedBackend) MatchIncoming(ctx context.Context, incoming *schema.Sch
 	if err != nil {
 		return nil, nil, err
 	}
-	return toServerMatches(ms), toServerFailures(shardErrs), nil
+	out := make([]server.Match, len(ms))
+	for i, m := range ms {
+		out[i] = server.Match{Schema: m.Schema, Result: m.Result}
+	}
+	var failures []server.ShardFailure
+	for _, se := range shardErrs {
+		failures = append(failures, server.ShardFailure{Shard: se.Shard, Error: se.Err.Error()})
+	}
+	return out, failures, nil
 }
 
-func (b *shardedBackend) PutSchema(s *schema.Schema) (bool, error) {
-	b.repo.pinInstance(s)
+func (b *backend) PutSchema(s *schema.Schema) (bool, error) {
+	e := b.repo.engine
+	// Pin before storing: once SwapSchema publishes the instance, a
+	// concurrent match may already use it as the incoming side, and an
+	// unpinned stored schema would have its analysis evicted at that
+	// batch's end. The analysis cache is keyed by schema identity; the
+	// replaced instance is retired so a long-running server doesn't
+	// accumulate dead analyses across re-imports. SwapSchema reports
+	// that instance atomically, so concurrent imports of one name each
+	// retire exactly the instance they displaced.
+	e.Pin(s)
 	prev, err := b.repo.SwapSchema(s)
 	if err != nil {
-		b.repo.releaseInstance(s)
+		e.Release(s)
 		return false, err
 	}
-	// Candidate-index maintenance is incremental: the new instance goes
-	// into its owning shard's segment, the displaced one leaves every
-	// segment — no segment is ever rebuilt on mutation.
-	b.repo.indexInstance(s)
+	// Incremental candidate-index maintenance rides the same pin
+	// lifecycle: the new instance is indexed (its analysis stays warm —
+	// it was just pinned), the displaced one unindexed, so the index is
+	// never rebuilt from scratch on mutation.
+	e.indexStored(s)
 	if prev != nil && prev != s {
-		// Every engine, not just the owning shard's: a stored schema
-		// matched as the incoming side had its index cached by the
-		// fan-out's first shard, wherever the schema itself lives.
-		b.repo.unindexInstance(prev)
-		b.repo.releaseInstance(prev)
-		b.repo.invalidateInstance(prev)
+		e.dropStored(prev)
 	}
 	return prev != nil, nil
 }
 
-func (b *shardedBackend) DeleteSchema(name string) (bool, error) {
+func (b *backend) DeleteSchema(name string) (bool, error) {
 	prev, err := b.repo.TakeSchema(name)
 	if err != nil {
 		return false, err
 	}
 	if prev != nil {
-		b.repo.unindexInstance(prev)
-		b.repo.releaseInstance(prev)
-		b.repo.invalidateInstance(prev)
+		b.repo.engine.dropStored(prev)
 	}
 	return prev != nil, nil
 }
 
-func (b *shardedBackend) GetSchema(name string) (*schema.Schema, bool) { return b.repo.GetSchema(name) }
-func (b *shardedBackend) SchemaNames() []string                        { return b.repo.SchemaNames() }
-func (b *shardedBackend) Stats() RepositoryStats                       { return b.repo.Stats() }
+func (b *backend) GetSchema(name string) (*schema.Schema, bool) { return b.repo.GetSchema(name) }
+func (b *backend) SchemaNames() []string                        { return b.repo.SchemaNames() }
+func (b *backend) Stats() RepositoryStats                       { return b.repo.Stats() }
 
-func (b *shardedBackend) Recovery() []server.RecoveryStatus {
+func (b *backend) Recovery() []server.RecoveryStatus {
 	reps := b.repo.Reports()
 	out := make([]server.RecoveryStatus, len(reps))
 	for i, rep := range reps {
-		out[i] = recoveryStatus(i, rep)
+		out[i] = server.RecoveryStatus{
+			Shard:             i,
+			Path:              rep.Path,
+			Recovered:         rep.Recovered,
+			SkippedBytes:      rep.SkippedBytes,
+			TruncatedBytes:    rep.TruncatedBytes,
+			Salvaged:          rep.Salvaged,
+			UpgradedV1:        rep.UpgradedV1,
+			CheckpointUsed:    rep.CheckpointUsed,
+			CheckpointDamaged: rep.CheckpointDamaged,
+			Clean:             rep.Clean(),
+		}
 	}
 	return out
 }
 
-func (b *shardedBackend) PageCache() (server.PageCacheStatus, bool) {
-	return pageCacheStatus(b.repo.PageCacheStats()), true
+func (b *backend) PageCache() (server.PageCacheStatus, bool) {
+	st := b.repo.PageCacheStats()
+	return server.PageCacheStatus{
+		Capacity:  st.Capacity,
+		Resident:  st.Resident,
+		Pinned:    st.Pinned,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+	}, true
 }
 
-func (b *shardedBackend) WarmStart() (server.WarmStartStatus, bool) {
-	return warmStartStatus(b.repo.WarmStart()), true
+func (b *backend) WarmStart() (server.WarmStartStatus, bool) {
+	ws := b.repo.WarmStart()
+	return server.WarmStartStatus{
+		Attempted:        ws.Attempted,
+		Used:             ws.Used,
+		RestoredSchemas:  ws.Restored,
+		DiscardedSchemas: ws.Discarded,
+		Columns:          ws.Columns,
+	}, true
 }
 
-func (b *shardedBackend) IndexStats() (server.IndexReadiness, bool) {
-	var out server.IndexReadiness
-	any := false
-	for _, e := range b.repo.engines {
-		if st, ok := e.CandidateIndexStats(); ok {
-			any = true
-			out.Schemas += st.Schemas
-			out.Postings += st.Postings
-		}
-	}
-	if !any {
+func (b *backend) IndexStats() (server.IndexReadiness, bool) {
+	st, ok := b.repo.engine.CandidateIndexStats()
+	if !ok {
 		return server.IndexReadiness{}, false
 	}
-	out.LastPruneRatio = b.repo.LastPruneStats().Ratio()
-	fillPruneTotals(&out, b.repo.PruneTotals())
-	return out, true
+	// The cumulative totals are the load-stable complement to the
+	// last-write-wins LastPruneRatio snapshot.
+	pt := b.repo.PruneTotals()
+	return server.IndexReadiness{
+		Schemas:         st.Schemas,
+		Postings:        st.Postings,
+		LastPruneRatio:  b.repo.LastPruneStats().Ratio(),
+		PrunedTotal:     pt.Skipped,
+		ConsideredTotal: pt.Candidates,
+		PruneRatio:      pt.Ratio(),
+	}, true
 }
 
-func (b *shardedBackend) CollectMetrics(reg *metrics.Registry) {
-	registerCacheMetrics(reg,
-		func() AnalyzerCacheStats {
-			var sum AnalyzerCacheStats
-			for _, e := range b.repo.engines {
-				st := e.AnalyzerCacheStats()
-				sum.Hits += st.Hits
-				sum.Misses += st.Misses
-				sum.Evictions += st.Evictions
-				sum.Invalidations += st.Invalidations
-				sum.Tombstones += st.Tombstones
-				sum.Pins += st.Pins
-				sum.Entries += st.Entries
-				sum.Pinned += st.Pinned
-			}
-			return sum
-		},
-		func() (ColumnCacheStats, bool) {
-			var sum ColumnCacheStats
-			any := false
-			for _, e := range b.repo.engines {
-				st, ok := e.ColumnCacheStats()
-				if !ok {
-					continue
-				}
-				any = true
-				sum.Hits += st.Hits
-				sum.Misses += st.Misses
-				sum.Flushes += st.Flushes
-				sum.Entries += st.Entries
-			}
-			return sum, any
-		})
+func (b *backend) CollectMetrics(reg *metrics.Registry) {
+	e := b.repo.engine
+	registerCacheMetrics(reg, e.AnalyzerCacheStats, e.ColumnCacheStats)
 	registerPruneMetrics(reg, b.repo.PruneTotals)
 	registerPageCacheMetrics(reg, b.repo.PageCacheStats)
 	registerWarmMetrics(reg, b.repo.WarmStart)
@@ -462,18 +269,8 @@ func (b *shardedBackend) CollectMetrics(reg *metrics.Registry) {
 	b.repo.storage.Register(reg)
 }
 
-// fillPruneTotals copies the cumulative prune counters into the
-// /readyz candidate-index block — the load-stable complement to the
-// last-write-wins LastPruneRatio snapshot.
-func fillPruneTotals(out *server.IndexReadiness, pt PruneTotals) {
-	out.PrunedTotal = pt.Skipped
-	out.ConsideredTotal = pt.Candidates
-	out.PruneRatio = pt.Ratio()
-}
-
-// registerCacheMetrics exposes one backend's engine cache counters.
-// The closures aggregate across shard engines at exposition time, so
-// the series always reflect the whole store.
+// registerCacheMetrics exposes the store engine's cache counters; the
+// closures read the engine at exposition time.
 func registerCacheMetrics(reg *metrics.Registry, an func() AnalyzerCacheStats, col func() (ColumnCacheStats, bool)) {
 	counter := func(name, help string, read func() uint64) {
 		reg.CounterFunc(name, help, func() float64 { return float64(read()) })
@@ -522,8 +319,8 @@ func registerCacheMetrics(reg *metrics.Registry, an func() AnalyzerCacheStats, c
 // registerPageCacheMetrics exposes the buffer pool's occupancy gauges
 // (summed across shard pools at exposition time). The traffic counters
 // — coma_pagecache_{hits,misses,evictions}_total and the pinned gauge
-// — come from repository.StorageMetrics.Register, which the backends
-// also attach.
+// — come from repository.StorageMetrics.Register, which the backend
+// also attaches.
 func registerPageCacheMetrics(reg *metrics.Registry, stats func() PageCacheStats) {
 	reg.GaugeFunc("coma_pagecache_capacity_pages",
 		"Buffer pool capacity in pages, summed across shards.",

@@ -3,50 +3,49 @@ package coma
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"sync"
 
-	"repro/internal/candidates"
-	"repro/internal/core"
 	"repro/internal/repository"
 )
 
 // ShardedRepository is the scale-out form of Repository: schemas,
 // mappings and cubes are distributed over N independent shard logs
-// (hash of the schema name), and every shard carries its own match
-// Engine — its own per-schema analysis cache — so shards analyze,
-// cache and serve independently. MatchIncoming fans the batch match
-// scheduler out across shards under one shared worker budget and
-// merges the per-shard rankings.
+// (hash of the schema name), each with its own lock and page pool.
+// Shards are a storage concept only: the store carries ONE match
+// Engine — one analysis cache, one persistent column cache, one
+// candidate index — so a stored schema is pinned, indexed and analyzed
+// once whichever shard holds it. MatchIncoming matches an incoming
+// schema against every shard's schemas in one batch under one worker
+// budget and returns a single merged ranking.
 //
-// A ShardedRepository with one shard behaves exactly like a Repository
-// driven by a single Engine; golden tests pin the outputs bit-identical
-// across shard counts.
+// Outputs are bit-identical across shard counts and to the
+// single-store Repository.MatchIncoming; golden tests pin that.
 type ShardedRepository struct {
 	*repository.Sharded
-	engines []*Engine
-	// lastPrune records the most recent pruned fan-out's merged
-	// statistics (see LastPruneStats).
-	lastPrune atomic.Pointer[PruneStats]
-	// pruneTotals accumulates every pruned fan-out's statistics — the
-	// monotonic counters behind PruneTotals and the served metrics.
-	pruneTotals core.PruneCounters
+	engine *Engine
+	// pruneLog records pruned batches (LastPruneStats, PruneTotals).
+	pruneLog
 	// storage aggregates every shard's durability instruments (one
 	// StorageMetrics shared across shard logs).
 	storage *repository.StorageMetrics
 	// warm holds the startup warm-restore outcome (see WarmStart).
-	warm atomic.Pointer[WarmStats]
+	warm WarmStats
+	// warmMu serializes sidecar writes: each replaces the sidecar
+	// through the same temporary file, so two at once (a periodic
+	// checkpoint racing the shutdown one) would lose a rename.
+	warmMu sync.Mutex
 }
 
 // OpenShardedRepository opens (creating if necessary) an n-shard
-// repository rooted at dir. The opts configure every shard's engine
-// identically (matchers, strategy, worker bound); each shard still
-// owns a separate analysis cache.
+// repository rooted at dir. The opts configure the store's engine
+// (matchers, strategy, worker bound, caches) and its storage (sync
+// policy, page cache).
 func OpenShardedRepository(dir string, shards int, opts ...Option) (*ShardedRepository, error) {
-	o, err := buildOptions(opts)
+	engine, err := NewEngine(opts...)
 	if err != nil {
 		return nil, err
 	}
+	o := engine.o
 	storage := repository.NewStorageMetrics()
 	ropts := []repository.OpenOption{
 		repository.WithSyncPolicy(o.syncPolicy),
@@ -59,205 +58,50 @@ func OpenShardedRepository(dir string, shards int, opts ...Option) (*ShardedRepo
 	if err != nil {
 		return nil, fmt.Errorf("coma: open sharded repository %s: %w", dir, err)
 	}
-	engines := make([]*Engine, shards)
-	for i := range engines {
-		if engines[i], err = NewEngine(opts...); err != nil {
-			store.Close()
-			return nil, err
-		}
-	}
-	// The auxiliary sources (dictionary, type table, taxonomy) are
-	// read-only shared vocabulary: point every shard at the first
-	// engine's instances — built from the same opts, so same content —
-	// which lets the batch fan-out analyze an incoming schema once for
-	// all shards. The analysis caches (one Analyzer per engine) stay
-	// per shard.
-	lead := engines[0].o.ctx
-	for _, e := range engines[1:] {
-		e.o.ctx.Dict = lead.Dict
-		e.o.ctx.Types = lead.Types
-		e.o.ctx.Taxonomy = lead.Taxonomy
-	}
-	r := &ShardedRepository{Sharded: store, engines: engines, storage: storage}
-	// With the engines sharing sources, the warm sidecar (if any) can
-	// seed their caches: restored analyses and columns make the first
-	// post-restart matches hit instead of re-analyzing the store.
-	r.restoreWarmAtOpen()
+	r := &ShardedRepository{Sharded: store, engine: engine, storage: storage}
+	// The warm sidecar (if any) seeds the engine: restored analyses and
+	// columns make the first post-restart matches hit instead of
+	// re-analyzing the store.
+	r.warm = restoreWarm(r.warmPath(), store, engine)
 	return r, nil
 }
 
-// ShardEngine returns the i-th shard's engine, e.g. to front-load
-// analysis (Engine.Analyze) of schemas known to live in that shard.
-func (r *ShardedRepository) ShardEngine(i int) *Engine { return r.engines[i] }
-
-// InvalidateAnalyses drops every shard engine's cached analyses — the
-// blunt consistency hammer after bulk schema mutation.
-func (r *ShardedRepository) InvalidateAnalyses() {
-	for _, e := range r.engines {
-		e.Invalidate(nil)
-	}
-}
-
-// invalidateInstance drops one schema instance's cached analysis from
-// every shard engine. A schema's index can live outside its own
-// shard's cache: MatchIncoming analyzes the incoming schema through
-// the fan-out's first shard, whichever shard stores it.
-func (r *ShardedRepository) invalidateInstance(s *Schema) {
-	for _, e := range r.engines {
-		e.Invalidate(s)
-	}
-}
-
-// pinInstance marks one stored schema instance as retained in every
-// shard engine — for the same reason invalidateInstance spans all
-// engines: the instance's analysis may be cached outside its owning
-// shard when it travels as the incoming side of a fan-out.
-func (r *ShardedRepository) pinInstance(s *Schema) {
-	for _, e := range r.engines {
-		e.Pin(s)
-	}
-}
-
-// releaseInstance undoes pinInstance on every shard engine.
-func (r *ShardedRepository) releaseInstance(s *Schema) {
-	for _, e := range r.engines {
-		e.Release(s)
-	}
-}
-
-// indexInstance adds one stored schema to its owning shard engine's
-// candidate index segment. Unlike analyses, a candidate's postings are
-// only ever consulted through its own shard (the fan-out hands each
-// shard engine its own candidates), so one segment suffices.
-func (r *ShardedRepository) indexInstance(s *Schema) {
-	r.engines[r.ShardFor(s.Name)].indexStored(s)
-}
-
-// unindexInstance removes one schema instance from every shard
-// engine's segment; removal is a no-op on segments that never held it.
-func (r *ShardedRepository) unindexInstance(s *Schema) {
-	for _, e := range r.engines {
-		e.unindexStored(s)
-	}
-}
+// Engine returns the store's match engine, e.g. to front-load analysis
+// (Engine.Analyze) or read its cache statistics.
+func (r *ShardedRepository) Engine() *Engine { return r.engine }
 
 // MatchIncoming matches an incoming schema against every schema stored
-// in any shard — the sharded form of Repository.MatchIncoming, and the
-// network server's core operation. Each shard's candidates are
-// analyzed and matched through that shard's engine (per-shard analysis
-// caches stay warm across calls), all pairs share one worker budget,
-// and the per-shard rankings are merged by descending combined schema
-// similarity (name breaking ties). With TopK(n), each shard prunes to
-// its n best before the merged ranking is cut to n again — the global
-// shortlist is always a subset of the per-shard ones, so results are
-// bit-identical to the single-store path.
+// in any shard — the network server's core operation. All pairs run in
+// one batch through the store's engine (stored analyses stay warm
+// across calls) and share one worker budget; outcomes are ordered by
+// descending combined schema similarity (name breaking ties), and
+// candidates sharing the incoming schema's name are skipped. With
+// TopK(n) only the n best survive. Results are bit-identical to the
+// single-store Repository.MatchIncoming.
 func (r *ShardedRepository) MatchIncoming(incoming *Schema, opts ...MatchAllOption) ([]IncomingMatch, error) {
 	out, _, err := r.MatchIncomingContext(context.Background(), incoming, opts...)
 	return out, err
 }
 
 // MatchIncomingContext is MatchIncoming under a request context, with
-// graceful degradation: a done ctx stops the fan-out cooperatively and
+// graceful degradation: a done ctx stops the batch cooperatively and
 // returns the cancellation cause, while — with AllowPartial — a shard
-// that fails on its own is dropped from the merged ranking and
-// reported in the returned ShardErrors (ordered by shard index)
-// instead of failing the request. Without AllowPartial the ShardErrors
-// are always nil and any shard failure fails the whole match. A
+// with a candidate that fails to match is dropped from the merged
+// ranking and reported in the returned ShardErrors (ordered by shard
+// index) instead of failing the request. Without AllowPartial the
+// ShardErrors are always nil and any failure fails the whole match. A
 // never-canceled ctx without failures yields results bit-identical to
 // MatchIncoming.
 func (r *ShardedRepository) MatchIncomingContext(ctx context.Context, incoming *Schema, opts ...MatchAllOption) ([]IncomingMatch, []ShardError, error) {
-	var o matchAllOptions
-	for _, opt := range opts {
-		if err := opt(&o); err != nil {
-			return nil, nil, err
-		}
-	}
-	// Every engine's analyzer window opens BEFORE the shard snapshots
-	// (see Repository.MatchIncomingContext): a delete completing between
-	// snapshot and the scheduler's own windows must still tombstone, or
-	// this fan-out could re-publish the deleted schema's analysis into
-	// whichever engines analyze it.
-	for _, e := range r.engines {
-		end := e.o.ctx.BeginAnalysis()
-		defer end()
-	}
-	shards := make([]core.Shard, len(r.engines))
-	for i, e := range r.engines {
-		stored := r.ShardSchemas(i)
-		candidates := stored[:0:0]
-		for _, s := range stored {
-			if s.Name != incoming.Name {
-				candidates = append(candidates, s)
-			}
-		}
-		shards[i] = core.Shard{Ctx: e.o.ctx, Candidates: candidates}
-	}
-	leadEngine := r.engines[0]
-	lead := leadEngine.o
-	cfg := core.Config{
-		Matchers: lead.matchers,
-		Strategy: lead.strategy,
-		Feedback: lead.feedback,
-		Workers:  lead.workers,
-	}
-	bopt := core.BatchOptions{TopK: o.topK, KeepCubes: o.keepCubes, AllowPartial: o.allowPartial}
-	var results [][]*Result
-	var shardErrs []ShardError
-	var err error
-	if spec := leadEngine.pruneSpec(&o); spec != nil {
-		// Pruned fan-out: every shard engine owns an index segment over
-		// its own candidates (built and maintained through that engine's
-		// analysis cache, exactly like the full pipeline's per-shard
-		// analyses), while the probe is built once from the lead engine's
-		// analysis of the incoming schema — the shards share the lead's
-		// auxiliary sources, so one probe serves every segment.
-		bshards := make([]core.BoundedShard, len(shards))
-		boundsByShard := make([][]float64, len(shards))
-		probe := candidates.NewProbe(spec, lead.ctx.Index(incoming))
-		for i, e := range r.engines {
-			idx := e.o.candIdx
-			for _, s := range idx.Stale(shards[i].Candidates, e.o.ctx.Sources()) {
-				if ctx != nil && ctx.Err() != nil {
-					return nil, nil, context.Cause(ctx)
-				}
-				idx.Add(s, e.o.ctx.Index(s))
-			}
-			boundsByShard[i] = idx.Bounds(probe, shards[i].Candidates)
-		}
-		// MaxCandidates cuts globally across the segments: the merged
-		// ranking is what the cap is about, not any one shard's.
-		limitBounds(boundsByShard, o.maxCandidates)
-		for i := range shards {
-			bshards[i] = core.BoundedShard{Shard: shards[i], Bounds: boundsByShard[i]}
-		}
-		var stats core.PruneStats
-		results, stats, shardErrs, err = core.MatchShardedPruned(ctx, incoming, bshards, cfg, bopt)
-		if err == nil {
-			r.lastPrune.Store(&stats)
-			r.pruneTotals.Record(stats)
-		}
-	} else {
-		results, shardErrs, err = core.MatchSharded(ctx, incoming, shards, cfg, bopt)
-	}
+	o, err := buildMatchAllOptions(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	var out []IncomingMatch
-	for si, shardResults := range results {
-		for ci, res := range shardResults {
-			if res != nil {
-				out = append(out, IncomingMatch{Schema: shards[si].Candidates[ci], Result: res})
-			}
+	return r.engine.matchIncoming(ctx, incoming, o, &r.pruneLog, func() [][]*Schema {
+		groups := make([][]*Schema, r.NumShards())
+		for i := range groups {
+			groups[i] = r.ShardSchemas(i)
 		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Result.SchemaSim != out[j].Result.SchemaSim {
-			return out[i].Result.SchemaSim > out[j].Result.SchemaSim
-		}
-		return out[i].Schema.Name < out[j].Schema.Name
+		return groups
 	})
-	if o.topK > 0 && len(out) > o.topK {
-		out = out[:o.topK]
-	}
-	return out, shardErrs, nil
 }

@@ -28,8 +28,8 @@ func openShardedRepo(t *testing.T, n int, stored []*coma.Schema, opts ...coma.Op
 }
 
 // TestShardedMatchIncomingGolden is the sharded backend's golden
-// guarantee: MatchIncoming through an N-shard store — per-shard
-// engines, shared worker budget, merged ranking — produces results
+// guarantee: MatchIncoming through an N-shard store — one engine over
+// every shard's candidates, merged ranking — produces results
 // bit-identical to the single-store Repository.MatchIncoming, for
 // shard counts {1, 4, 16}, sequentially and in parallel.
 func TestShardedMatchIncomingGolden(t *testing.T) {
@@ -64,7 +64,7 @@ func TestShardedMatchIncomingGolden(t *testing.T) {
 			label := fmt.Sprintf("shards=%d/workers=%d", nShards, workers)
 			repo := openShardedRepo(t, nShards, stored, coma.WithWorkers(workers))
 			// Two rounds through the same store: the second runs on
-			// warm per-shard analysis caches and must not drift.
+			// the warm analysis cache and must not drift.
 			for round := 0; round < 2; round++ {
 				got, err := repo.MatchIncoming(incoming)
 				if err != nil {

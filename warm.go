@@ -20,8 +20,8 @@ import (
 // analysis indexes (internal/analysis artifacts) and the persistent
 // column cache's configuration-identified similarity columns. The
 // sidecar is written next to the repository after every checkpoint and
-// read once at open; a restored process seeds its analyzer caches,
-// column caches and candidate-pruning index from it instead of
+// read once at open; a restored process seeds its engine's analyzer
+// cache, column cache and candidate-pruning index from it instead of
 // re-analyzing the store.
 //
 // The sidecar is pure warmth, never truth: every layer that consumes a
@@ -49,11 +49,6 @@ import (
 // format version.
 const warmMagic = "COMA.warm\x001\n"
 
-// warmSuffix names the sidecar of a single-file repository
-// ("<log>.warm"); sharded repositories use warmSnapName in their
-// directory.
-const warmSuffix = ".warm"
-
 // warmSnapName is the sidecar file of a sharded repository directory.
 const warmSnapName = "warm.snap"
 
@@ -74,12 +69,14 @@ type WarmStats struct {
 	// Discarded counts schema entries rejected individually (stored
 	// payload CRC mismatch, schema gone, malformed artifact).
 	Discarded int
-	// Columns counts persistent similarity columns seeded.
+	// Columns counts persistent similarity columns seeded (0 without
+	// WithPersistentColumnCache: nothing can hold them).
 	Columns int
 }
 
 // warmStore is the slice of the repository API the warm sidecar needs;
-// *repository.Repo and *repository.Sharded both provide it.
+// *repository.Sharded provides it (and *repository.Repo, which the
+// sidecar tests use as a small fixture).
 type warmStore interface {
 	Get(k repository.RecordKind, key string) ([]byte, bool)
 	GetSchema(name string) (*schema.Schema, bool)
@@ -278,38 +275,33 @@ func decodeWarm(data []byte) (fps [3]uint64, entries []warmEntry, err error) {
 	return fps, entries, nil
 }
 
-// collectWarm snapshots every stored schema whose analysis one of the
-// engines currently caches: its analysis artifact, the CRC of its
-// stored record payload (the restore-side staleness gate) and the
-// persistent columns cached against its index. Schemas nobody analyzed
-// yet are skipped — they would warm nothing.
-func collectWarm(store warmStore, engines []*Engine) []warmEntry {
+// collectWarm snapshots every stored schema whose analysis the engine
+// currently caches: its analysis artifact, the CRC of its stored
+// record payload (the restore-side staleness gate) and the persistent
+// columns cached against its index. Schemas nobody analyzed yet are
+// skipped — they would warm nothing.
+func collectWarm(store warmStore, e *Engine) []warmEntry {
+	a := e.o.ctx.Analyzer
+	if a == nil {
+		return nil
+	}
 	var out []warmEntry
 	for _, name := range store.SchemaNames() {
 		s, ok := store.GetSchema(name)
 		if !ok {
 			continue
 		}
-		var idx *analysis.SchemaIndex
-		var cols []match.ColumnArtifact
-		for _, e := range engines {
-			a := e.o.ctx.Analyzer
-			if a == nil {
-				continue
-			}
-			if idx = a.Peek(s); idx != nil {
-				if cc := e.o.ctx.Columns; cc != nil {
-					cols = cc.Export(idx)
-				}
-				break
-			}
-		}
+		idx := a.Peek(s)
 		if idx == nil {
 			continue
 		}
 		payload, ok := store.Get(repository.RecSchemas, name)
 		if !ok {
 			continue
+		}
+		var cols []match.ColumnArtifact
+		if cc := e.o.ctx.Columns; cc != nil {
+			cols = cc.Export(idx)
 		}
 		out = append(out, warmEntry{
 			name:     name,
@@ -323,18 +315,16 @@ func collectWarm(store warmStore, engines []*Engine) []warmEntry {
 
 // writeWarm collects and atomically writes the sidecar; fsys nil
 // selects the real filesystem (tests inject a FaultFS).
-func writeWarm(fsys repository.FS, path string, store warmStore, engines []*Engine) error {
-	data := encodeWarm(sourceFingerprints(engines[0].o.ctx.Sources()), collectWarm(store, engines))
+func writeWarm(fsys repository.FS, path string, store warmStore, e *Engine) error {
+	data := encodeWarm(sourceFingerprints(e.o.ctx.Sources()), collectWarm(store, e))
 	return repository.AtomicWriteFile(fsys, path, data)
 }
 
-// restoreWarm reads a sidecar and seeds the engines: each surviving
-// schema's index goes into every engine's analyzer (a stored schema's
-// analysis can be consulted by any engine — it travels as the incoming
-// side of fan-outs), its columns into every engine's persistent column
-// cache, and the index into the owning engine's candidate-pruning
-// segment. owner maps a schema name to its owning engine's slot.
-func restoreWarm(path string, store warmStore, engines []*Engine, owner func(name string) int) WarmStats {
+// restoreWarm reads a sidecar and seeds the engine: each surviving
+// schema's index goes into the analyzer, its columns into the
+// persistent column cache (when the engine has one) and the index
+// into the candidate-pruning index.
+func restoreWarm(path string, store warmStore, e *Engine) WarmStats {
 	var ws WarmStats
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -345,7 +335,7 @@ func restoreWarm(path string, store warmStore, engines []*Engine, owner func(nam
 	if err != nil {
 		return ws
 	}
-	src := engines[0].o.ctx.Sources()
+	src := e.o.ctx.Sources()
 	if fps != sourceFingerprints(src) {
 		return ws
 	}
@@ -366,54 +356,18 @@ func restoreWarm(path string, store warmStore, engines []*Engine, owner func(nam
 			ws.Discarded++
 			continue
 		}
-		for _, e := range engines {
-			if a := e.o.ctx.Analyzer; a != nil {
-				a.Seed(s, idx)
-			}
-			if cc := e.o.ctx.Columns; cc != nil {
-				cc.Seed(idx, ent.cols)
-			}
+		if a := e.o.ctx.Analyzer; a != nil {
+			a.Seed(s, idx)
 		}
-		if oe := engines[owner(ent.name)]; oe.o.candIdx != nil {
-			oe.o.candIdx.Add(s, idx)
+		if cc := e.o.ctx.Columns; cc != nil {
+			ws.Columns += cc.Seed(idx, ent.cols)
+		}
+		if ci := e.o.candIdx; ci != nil {
+			ci.Add(s, idx)
 		}
 		ws.Restored++
-		ws.Columns += len(ent.cols)
 	}
 	return ws
-}
-
-// warmPath returns the single-store repository's sidecar path.
-func (r *Repository) warmPath() string { return r.Repo.Path() + warmSuffix }
-
-// SaveWarm writes the repository's warm-restart sidecar: the analysis
-// artifacts and persistent similarity columns the engine currently
-// caches for the stored schemas. Call it after Checkpoint (the sharded
-// store's Checkpoint does so itself) so the next open finds both the
-// paged snapshot and the warmth to serve it with.
-func (r *Repository) SaveWarm(e *Engine) error {
-	return writeWarm(nil, r.warmPath(), r.Repo, []*Engine{e})
-}
-
-// RestoreWarm seeds the engine from the repository's warm sidecar, if
-// one is present and valid — Repository.Handler calls it, so served
-// single-store repositories restart warm automatically. Only the first
-// call restores; later calls return the recorded outcome.
-func (r *Repository) RestoreWarm(e *Engine) WarmStats {
-	r.warmOnce.Do(func() {
-		ws := restoreWarm(r.warmPath(), r.Repo, []*Engine{e}, func(string) int { return 0 })
-		r.warm.Store(&ws)
-	})
-	return r.WarmStart()
-}
-
-// WarmStart reports the outcome of the repository's startup warm
-// restore (zero value before RestoreWarm ran).
-func (r *Repository) WarmStart() WarmStats {
-	if ws := r.warm.Load(); ws != nil {
-		return *ws
-	}
-	return WarmStats{}
 }
 
 // warmPath returns the sharded repository's sidecar path.
@@ -422,9 +376,12 @@ func (r *ShardedRepository) warmPath() string {
 }
 
 // SaveWarm writes the sharded repository's warm-restart sidecar from
-// the shard engines' caches; Checkpoint calls it automatically.
+// the engine's caches; Checkpoint calls it automatically. Concurrent
+// calls are serialized.
 func (r *ShardedRepository) SaveWarm() error {
-	return writeWarm(nil, r.warmPath(), r.Sharded, r.engines)
+	r.warmMu.Lock()
+	defer r.warmMu.Unlock()
+	return writeWarm(nil, r.warmPath(), r.Sharded, r.engine)
 }
 
 // Checkpoint compacts every shard log into its paged snapshot and then
@@ -438,18 +395,6 @@ func (r *ShardedRepository) Checkpoint() error {
 	return r.SaveWarm()
 }
 
-// restoreWarmAtOpen runs the startup warm restore;
-// OpenShardedRepository calls it once the engines are wired.
-func (r *ShardedRepository) restoreWarmAtOpen() {
-	ws := restoreWarm(r.warmPath(), r.Sharded, r.engines, r.ShardFor)
-	r.warm.Store(&ws)
-}
-
 // WarmStart reports the outcome of the sharded repository's startup
 // warm restore.
-func (r *ShardedRepository) WarmStart() WarmStats {
-	if ws := r.warm.Load(); ws != nil {
-		return *ws
-	}
-	return WarmStats{}
-}
+func (r *ShardedRepository) WarmStart() WarmStats { return r.warm }

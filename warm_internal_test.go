@@ -67,7 +67,7 @@ func warmSweepFixture(t *testing.T) (repo *Repository, engine *Engine, path stri
 		}
 	}
 	path = filepath.Join(dir, "case.warm")
-	if err := writeWarm(nil, path, repo.Repo, []*Engine{engine}); err != nil {
+	if err := writeWarm(nil, path, repo.Repo, engine); err != nil {
 		t.Fatal(err)
 	}
 	if oldData, err = os.ReadFile(path); err != nil {
@@ -76,7 +76,7 @@ func warmSweepFixture(t *testing.T) (repo *Repository, engine *Engine, path stri
 	if _, err := repo.MatchIncoming(engine, incoming); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeWarm(nil, path, repo.Repo, []*Engine{engine}); err != nil {
+	if err := writeWarm(nil, path, repo.Repo, engine); err != nil {
 		t.Fatal(err)
 	}
 	if newData, err = os.ReadFile(path); err != nil {
@@ -87,7 +87,7 @@ func warmSweepFixture(t *testing.T) (repo *Repository, engine *Engine, path stri
 	}
 	// The sweep asserts "failed write leaves exactly old or new bytes",
 	// which needs the encoding to be deterministic across calls.
-	if err := writeWarm(nil, path, repo.Repo, []*Engine{engine}); err != nil {
+	if err := writeWarm(nil, path, repo.Repo, engine); err != nil {
 		t.Fatal(err)
 	}
 	again, err := os.ReadFile(path)
@@ -107,7 +107,7 @@ func restoreInto(t *testing.T, repo *Repository, path string) WarmStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return restoreWarm(path, repo.Repo, []*Engine{e}, func(string) int { return 0 })
+	return restoreWarm(path, repo.Repo, e)
 }
 
 // TestWarmSidecarCrashSweep injects a write fault at every byte offset
@@ -117,7 +117,6 @@ func restoreInto(t *testing.T, repo *Repository, path string) WarmStats {
 // whichever survived passes a warm restore's validation.
 func TestWarmSidecarCrashSweep(t *testing.T) {
 	repo, engine, path, oldData, newData := warmSweepFixture(t)
-	engines := []*Engine{engine}
 	stride := 1
 	if testing.Short() {
 		stride = 7
@@ -129,7 +128,7 @@ func TestWarmSidecarCrashSweep(t *testing.T) {
 			}
 			ffs := repository.NewFaultFS(nosyncFS{repository.OSFS})
 			ffs.Arm(kind, int64(off))
-			err := writeWarm(ffs, path, repo.Repo, engines)
+			err := writeWarm(ffs, path, repo.Repo, engine)
 			cur, rerr := os.ReadFile(path)
 			if rerr != nil {
 				t.Fatalf("fault %d@%d: sidecar unreadable: %v", kind, off, rerr)

@@ -1,8 +1,11 @@
 package coma_test
 
 import (
+	"context"
 	"fmt"
+	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	coma "repro"
@@ -11,15 +14,11 @@ import (
 	"repro/internal/workload"
 )
 
-// totalAnalyzerMisses sums the analyzer-cache miss counters across a
-// sharded repository's engines — the "did anything re-analyze?" probe
-// of the warm-restart tests.
-func totalAnalyzerMisses(repo *coma.ShardedRepository, shards int) uint64 {
-	var total uint64
-	for i := 0; i < shards; i++ {
-		total += repo.ShardEngine(i).AnalyzerCacheStats().Misses
-	}
-	return total
+// totalAnalyzerMisses reads the store engine's analyzer-cache miss
+// counter — the "did anything re-analyze?" probe of the warm-restart
+// tests.
+func totalAnalyzerMisses(repo *coma.ShardedRepository) uint64 {
+	return repo.Engine().AnalyzerCacheStats().Misses
 }
 
 // assertMatchesEqual compares two MatchIncoming rankings bit for bit.
@@ -139,7 +138,7 @@ func TestPagedStoreLargerThanPool(t *testing.T) {
 
 // TestShardedWarmRestart is the warm-restart acceptance test:
 // Checkpoint writes the sidecar, a reopen restores every stored
-// schema's analysis into the shard engines, and matching a stored
+// schema's analysis into the store's engine, and matching a stored
 // schema afterwards performs no analysis at all (zero analyzer-cache
 // misses) while staying bit-identical to the pre-restart results.
 func TestShardedWarmRestart(t *testing.T) {
@@ -186,12 +185,12 @@ func TestShardedWarmRestart(t *testing.T) {
 	if ws.Restored != len(stored) || ws.Discarded != 0 {
 		t.Fatalf("restored %d / discarded %d, want %d / 0", ws.Restored, ws.Discarded, len(stored))
 	}
-	if got := totalAnalyzerMisses(repo, shards); got != 0 {
+	if got := totalAnalyzerMisses(repo); got != 0 {
 		t.Fatalf("%d analyzer misses right after open — restore analyzed instead of seeding", got)
 	}
 
 	// Matching a stored (hence seeded) schema must run entirely on the
-	// restored analyses: zero misses across every shard engine.
+	// restored analyses: zero misses.
 	probe, ok := repo.GetSchema(stored[0].Name)
 	if !ok {
 		t.Fatalf("stored schema %s missing after reopen", stored[0].Name)
@@ -203,20 +202,23 @@ func TestShardedWarmRestart(t *testing.T) {
 	if len(res) != 3 {
 		t.Fatalf("%d matches, want 3", len(res))
 	}
-	if got := totalAnalyzerMisses(repo, shards); got != 0 {
+	if got := totalAnalyzerMisses(repo); got != 0 {
 		t.Errorf("warm restart re-analyzed: %d analyzer misses while matching a stored schema", got)
 	}
 
 	// The external probe itself is one fresh analysis, but every stored
 	// candidate stays warm — and the ranking is bit-identical to the
-	// pre-restart store.
+	// pre-restart store. The one other miss is stored[0]: this store is
+	// not served, so its schemas are unpinned, and the by-name match
+	// above evicted stored[0]'s analysis as a transient incoming schema
+	// at batch end.
 	got, err := repo.MatchIncoming(incoming)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertMatchesEqual(t, "warm", got, want)
-	if misses := totalAnalyzerMisses(repo, shards); misses > shards {
-		t.Errorf("external probe cost %d misses, want at most %d (one per analyzing engine)", misses, shards)
+	if misses := totalAnalyzerMisses(repo); misses != 2 {
+		t.Errorf("external probe cost %d misses, want exactly 2 (the probe, and the evicted by-name probe as a candidate)", misses)
 	}
 }
 
@@ -327,20 +329,17 @@ func TestWarmSidecarStaleEntryDiscarded(t *testing.T) {
 	}
 }
 
-// TestSingleRepositoryWarmRoundTrip pins the single-store form:
-// SaveWarm persists the engine's warmth next to the log, RestoreWarm
-// seeds a fresh engine from it, and matching a stored schema through
-// the restored engine performs no analysis.
-func TestSingleRepositoryWarmRoundTrip(t *testing.T) {
-	all := workload.Candidates(8)
-	incoming, stored := all[0], all[1:]
-	path := filepath.Join(t.TempDir(), "single.repo")
+// TestWarmRestartColumnsNeedCache: the warm-start column count is the
+// number of columns actually installed. A store reopened without
+// WithPersistentColumnCache has nowhere to put the sidecar's columns,
+// so WarmStats, /readyz and /metrics all report none while every
+// analysis still restores; reopened with the cache, the columns count.
+func TestWarmRestartColumnsNeedCache(t *testing.T) {
+	const shards = 2
+	stored := workload.Candidates(7)
+	dir := filepath.Join(t.TempDir(), "cols")
 
-	repo, err := coma.OpenRepository(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := coma.NewEngine()
+	repo, err := coma.OpenShardedRepository(dir, shards, coma.WithPersistentColumnCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,50 +347,84 @@ func TestSingleRepositoryWarmRoundTrip(t *testing.T) {
 		if err := repo.PutSchema(s); err != nil {
 			t.Fatal(err)
 		}
+		repo.Engine().Pin(s)
 	}
-	want, err := repo.MatchIncoming(engine, incoming)
-	if err != nil {
-		t.Fatal(err)
+	// Matching every stored schema as the (pinned) incoming side fills
+	// the persistent column cache the checkpoint exports.
+	for _, s := range stored {
+		if _, err := repo.MatchIncoming(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := repo.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.SaveWarm(engine); err != nil {
 		t.Fatal(err)
 	}
 	if err := repo.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	repo, err = coma.OpenRepository(path)
+	repo, err = coma.OpenShardedRepository(dir, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := repo.WarmStart()
+	if !ws.Used || ws.Restored != len(stored) {
+		t.Fatalf("reopen without column cache: %+v, want Used with %d restored", ws, len(stored))
+	}
+	if ws.Columns != 0 {
+		t.Errorf("reopen without column cache reports %d restored columns, want 0", ws.Columns)
+	}
+	handler := repo.Handler()
+	ts := httptest.NewServer(handler)
+	ready, err := coma.NewClient(ts.URL).Ready(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ready.WarmStart == nil || ready.WarmStart.Columns != 0 {
+		t.Errorf("/readyz warmStart = %+v, want 0 columns", ready.WarmStart)
+	}
+	m, ok := handler.Metrics()
+	if !ok {
+		t.Fatal("Metrics() not ok on default handler")
+	}
+	if got := m.Value("coma_warm_restored_columns"); got != 0 {
+		t.Errorf("coma_warm_restored_columns = %v, want 0", got)
+	}
+	ts.Close()
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	repo, err = coma.OpenShardedRepository(dir, shards, coma.WithPersistentColumnCache())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer repo.Close()
-	restored, err := coma.NewEngine()
-	if err != nil {
-		t.Fatal(err)
+	if ws := repo.WarmStart(); !ws.Used || ws.Columns == 0 {
+		t.Errorf("reopen with column cache: %+v, want restored columns", ws)
 	}
-	ws := repo.RestoreWarm(restored)
-	if !ws.Used || ws.Restored != len(stored) {
-		t.Fatalf("restore: %+v, want Used with %d restored", ws, len(stored))
+}
+
+// TestConcurrentCheckpoints: checkpoints racing each other — a periodic
+// one and the shutdown one, say — all succeed, because sidecar writes
+// are serialized.
+func TestConcurrentCheckpoints(t *testing.T) {
+	repo := openShardedRepo(t, 2, workload.Candidates(4))
+	const n = 8
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- repo.Checkpoint()
+		}()
 	}
-	if got := repo.WarmStart(); got != ws {
-		t.Fatalf("WarmStart %+v diverges from RestoreWarm %+v", got, ws)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
-	probe, ok := repo.GetSchema(stored[0].Name)
-	if !ok {
-		t.Fatal("stored schema missing after reopen")
-	}
-	if _, err := repo.MatchIncoming(restored, probe, coma.TopK(3)); err != nil {
-		t.Fatal(err)
-	}
-	if st := restored.AnalyzerCacheStats(); st.Misses != 0 {
-		t.Errorf("restored engine analyzed %d schemas matching a stored one, want 0", st.Misses)
-	}
-	got, err := repo.MatchIncoming(restored, incoming)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesEqual(t, "single-warm", got, want)
 }
