@@ -53,17 +53,15 @@ func newServedRepo(t *testing.T, shards, n int, opts ...coma.Option) (*httptest.
 }
 
 // TestServedInlineAnalyzerBounded is the heap-stability acceptance
-// test of the cache-lifecycle subsystem: a long burst of inline POST
-// /match requests must leave the store engine's analysis cache holding
-// only the stored (pinned) schemas — before the end-of-batch eviction,
-// every request leaked one analyzer entry keyed by its throwaway
-// schema instance — whatever the shard count.
+// test of store-owned analyses: a long burst of inline POST /match
+// requests must leave the store engine's analysis cache holding only
+// the stored schemas — an inline schema is analyzed for its request
+// and never cached — whatever the shard count.
 func TestServedInlineAnalyzerBounded(t *testing.T) {
 	for _, shards := range servedShardCounts {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
 			const stored = 3
-			ts, repo := newServedRepo(t, shards, stored,
-				coma.WithAnalyzerLimit(64), coma.WithPersistentColumnCache())
+			ts, repo := newServedRepo(t, shards, stored, coma.WithPersistentColumnCache())
 			client := coma.NewClient(ts.URL)
 			ctx := context.Background()
 
@@ -99,11 +97,12 @@ func TestServedInlineAnalyzerBounded(t *testing.T) {
 	}
 }
 
-// TestShardedOneAnalysisPerStoredSchema: a sharded store analyzes and
-// pins each stored schema exactly once, whichever shard holds it. One
-// by-name match per stored schema behind the served API — every stored
-// schema serving once as the incoming side and many times as a
-// candidate — leaves one cached analysis and one pin per schema.
+// TestShardedOneAnalysisPerStoredSchema: a sharded store analyzes each
+// stored schema exactly once, whichever shard holds it. One by-name
+// match per stored schema behind the served API — every stored schema
+// serving once as the incoming side and many times as a candidate —
+// leaves one cached analysis per schema and costs no analysis beyond
+// the one each put made.
 func TestShardedOneAnalysisPerStoredSchema(t *testing.T) {
 	const shards, stored = 4, 32
 	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), "shards"), shards)
@@ -138,18 +137,131 @@ func TestShardedOneAnalysisPerStoredSchema(t *testing.T) {
 	if got := e.CachedAnalyses(); got != stored {
 		t.Errorf("engine caches %d analyses for %d stored schemas, want one each", got, stored)
 	}
-	if got := e.AnalyzerCacheStats().Pins; got != stored {
-		t.Errorf("%d pins for %d stored schemas, want one each", got, stored)
+	if got := e.AnalyzerCacheStats().Misses; got != stored {
+		t.Errorf("%d analyzer misses for %d stored schemas, want one each", got, stored)
 	}
+}
+
+// TestShardedLibraryKeepsStoredAnalyses: a ShardedRepository used as a
+// library, with no Handler, owns its analyses exactly like a served
+// one. The puts analyze each stored schema once, and by-name matches
+// of every stored schema — each serving as the incoming side and as a
+// candidate of the others — analyze nothing more and evict nothing.
+func TestShardedLibraryKeepsStoredAnalyses(t *testing.T) {
+	const shards, stored = 3, 12
+	repo := openShardedRepo(t, shards, workload.Corpus(stored, 5), coma.WithCandidateIndex())
+	e := repo.Engine()
+	if got, misses := e.CachedAnalyses(), e.AnalyzerCacheStats().Misses; got != stored || misses != stored {
+		t.Fatalf("after %d puts: %d cached analyses, %d misses; want %d each", stored, got, misses, stored)
+	}
+	for round := 0; round < 2; round++ {
+		for _, name := range repo.SchemaNames() {
+			s, ok := repo.GetSchema(name)
+			if !ok {
+				t.Fatalf("%s not stored", name)
+			}
+			if _, err := repo.MatchIncoming(s, coma.TopK(3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := e.CachedAnalyses(); got != stored {
+		t.Errorf("%d cached analyses after by-name matches, want %d", got, stored)
+	}
+	if misses := e.AnalyzerCacheStats().Misses; misses != stored {
+		t.Errorf("by-name matches cost %d analyzer misses, want 0", misses-stored)
+	}
+}
+
+// TestShardedAnalysesFollowChurn is the store-level -race test of
+// store-owned analyses: by-name and inline matches, pruned and
+// exhaustive, run against PUT and DELETE churn through the library
+// API. A match only reads the store's analyses, so once the churn is
+// quiet the analyzer entries, the candidate-index schemas and the
+// stored schemas are the same set.
+func TestShardedAnalysesFollowChurn(t *testing.T) {
+	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), "churn"), 2,
+		coma.WithCandidateIndex(), coma.WithPersistentColumnCache(), coma.WithSyncPolicy(coma.SyncNone()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { repo.Close() })
+	load := func(name string, seed int) *coma.Schema {
+		s, err := coma.LoadSQL(name, tinyDDL(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for i := 0; i < 4; i++ {
+		if err := repo.PutSchema(load(fmt.Sprintf("Stored%d", i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const writers, matchers, rounds = 2, 3, 20
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				name := fmt.Sprintf("Churn%d", r%3)
+				if err := repo.PutSchema(load(name, 10+w*rounds+r)); err != nil {
+					t.Errorf("put %s: %v", name, err)
+					return
+				}
+				if r%2 == w%2 {
+					if err := repo.DeleteSchema(name); err != nil {
+						t.Errorf("delete %s: %v", name, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for m := 0; m < matchers; m++ {
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				incoming := load("inline", 50+m)
+				if r%2 == 0 {
+					// By name: the stored instance, or a churned one that
+					// may be deleted while the batch runs.
+					name := fmt.Sprintf("Stored%d", r%4)
+					if r%4 == 2 {
+						name = fmt.Sprintf("Churn%d", r%3)
+					}
+					s, ok := repo.GetSchema(name)
+					if !ok {
+						continue
+					}
+					incoming = s
+				}
+				opts := []coma.MatchAllOption{coma.TopK(2)}
+				if m == 0 {
+					opts = append(opts, coma.Exhaustive())
+				}
+				if _, err := repo.MatchIncoming(incoming, opts...); err != nil {
+					t.Errorf("match %s: %v", incoming.Name, err)
+					return
+				}
+			}
+		}(m)
+	}
+	wg.Wait()
+	requireStoreAnalyses(t, repo)
 }
 
 // TestPersistentColumnCacheGolden pins bit-identity of the
 // engine-scoped column cache against the per-batch behavior of PR 3/4:
 // MatchAll batches (cold and warm rounds) and repeated single Matches
 // through a persistent-column engine agree bit for bit with a plain
-// engine. It also pins the retention split: an Analyze'd (pinned)
-// incoming schema keeps its analysis across batches, a transient one
-// is evicted at batch end.
+// engine. It also pins the retention split: an Analyze'd incoming
+// schema keeps its analysis across batches, a MatchAll incoming the
+// engine does not cache is analyzed for its batch only, and Release
+// forgets a schema.
 func TestPersistentColumnCacheGolden(t *testing.T) {
 	const n = 6
 	schemas := make([]*coma.Schema, n)
@@ -194,10 +306,10 @@ func TestPersistentColumnCacheGolden(t *testing.T) {
 	}
 	assertResultsEqual(t, "single match on warm columns", gotSingle, wantSingle)
 
-	// Retention split: the pinned incoming plus the candidates stay
-	// analyzed; a transient incoming is evicted at batch end.
+	// Retention split: the Analyze'd incoming plus the candidates stay
+	// analyzed; an uncached incoming never enters the cache.
 	if got := persist.CachedAnalyses(); got != n {
-		t.Errorf("pinned engine caches %d analyses, want %d", got, n)
+		t.Errorf("engine caches %d analyses, want %d", got, n)
 	}
 	transient, err := coma.LoadSQL("Transient", tinyDDL(99))
 	if err != nil {
@@ -207,10 +319,10 @@ func TestPersistentColumnCacheGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := persist.CachedAnalyses(); got != n {
-		t.Errorf("after a transient batch the engine caches %d analyses, want %d (incoming evicted)", got, n)
+		t.Errorf("after a transient batch the engine caches %d analyses, want %d (incoming not cached)", got, n)
 	}
 
-	// Releasing the pin makes the incoming transient again.
+	// A released incoming is analyzed per batch again.
 	persist.Release(incoming)
 	if _, err := persist.MatchAll(incoming, cands); err != nil {
 		t.Fatal(err)
@@ -237,8 +349,7 @@ func TestServedChurnCacheLifecycle(t *testing.T) {
 
 func testServedChurnCacheLifecycle(t *testing.T, shards int) {
 	const stored = 3
-	ts, repo := newServedRepo(t, shards, stored,
-		coma.WithAnalyzerLimit(64), coma.WithPersistentColumnCache())
+	ts, repo := newServedRepo(t, shards, stored, coma.WithPersistentColumnCache())
 	engine := repo.Engine()
 	client := coma.NewClient(ts.URL)
 	ctx := context.Background()
@@ -300,11 +411,10 @@ func testServedChurnCacheLifecycle(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Analyzer tombstones close the former residual: a DELETE racing an
-	// in-flight batch can no longer resurrect the deleted candidate's
-	// analysis, so the cache bound holds right after churn with no
-	// wholesale invalidation — the analyzer holds at most the surviving
-	// stored schemas (every batch evicted its own transients).
+	// Matches only read the store's analyses, so a DELETE racing an
+	// in-flight batch cannot resurrect the deleted candidate's analysis:
+	// right after churn the analyzer holds at most the surviving stored
+	// schemas (the wholesale invalidations may have emptied some).
 	if got := engine.CachedAnalyses(); got > len(names) {
 		t.Errorf("right after churn the engine caches %d analyses, want <= %d (stored schemas)",
 			got, len(names))
@@ -344,9 +454,9 @@ func testServedChurnCacheLifecycle(t *testing.T, shards int) {
 	if len(names) != len(localSrc) {
 		t.Fatalf("final store lists %d schemas, want %d", len(names), len(localSrc))
 	}
-	// The probe batch analyzed the three stored candidates and evicted
-	// its own transient incoming: the steady-state cache holds exactly
-	// the stored schemas again.
+	// The probe batch rebuilt the invalidated stored analyses in place
+	// and did not cache its inline incoming: the steady-state cache
+	// holds exactly the stored schemas again.
 	if got := engine.CachedAnalyses(); got != len(localSrc) {
 		t.Errorf("analyzer holds %d analyses after post-churn match, want %d (stored schemas only)",
 			got, len(localSrc))

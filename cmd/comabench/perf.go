@@ -206,7 +206,7 @@ func measurePerf() perfReport {
 	})
 	// Repeated matching of one retained incoming schema against a
 	// stable candidate store — the cache-lifecycle acceptance
-	// comparison. Both variants pin the incoming analysis (Analyze), so
+	// comparison. Both variants cache the incoming analysis (Analyze), so
 	// the only difference is column lifetime: cold re-scores every
 	// distinct-name similarity column per batch (the per-batch cache of
 	// PR 3/4), warm-colcache persists the columns at engine scope and

@@ -36,13 +36,14 @@
 // /readyz flips to 503 so load balancers stop routing, new matches are
 // shed, and in-flight requests finish before the process exits.
 //
-// Cache lifecycle: inline schemas posted to /match are analyzed per
-// request and their analyses evicted at batch end (stored schemas stay
-// pinned and warm), -analyzer-limit additionally bounds the engine's
-// analysis cache as a backstop (0 disables the bound), and the
-// engine-scoped persistent column cache — warm name-similarity columns
-// across repeated matches of a stored schema — is on by default
-// (-colcache=false restores per-batch column reuse).
+// Cache lifecycle: the store owns its schemas' analyses — each stored
+// schema is analyzed once when it is put (or at startup, unless the
+// warm sidecar restored it) and dropped when it is replaced or
+// deleted — while inline schemas posted to /match are analyzed per
+// request and never cached. The engine-scoped persistent column cache
+// — warm name-similarity columns across repeated matches of a stored
+// schema — is on by default (-colcache=false restores per-batch column
+// reuse).
 //
 // Paged storage and warm restarts: each checkpoint writes the shard
 // state into a slotted page file served through a capacity-bounded
@@ -68,7 +69,7 @@
 // Observability: GET /metrics serves the full instrument set in
 // Prometheus text format — per-endpoint request counts and latency
 // histograms, admission-queue depth/wait/shed counters, analyzer and
-// column cache hit/miss/eviction counters, cumulative candidate-prune
+// column cache hit/miss counters, cumulative candidate-prune
 // counters, and storage durability timings (append fsync, group-commit
 // flush, checkpoint duration, recovery outcomes). Metrics are on by
 // default (-metrics=false disables the registry and the endpoint);
@@ -108,7 +109,6 @@ type serveConfig struct {
 	repoDir   string
 	shards    int
 	workers   int
-	anLimit   int
 	colcache  bool
 	candIndex bool
 	// pageCache bounds each shard's page buffer pool, in pages (0 =
@@ -147,7 +147,6 @@ func main() {
 		repoDir      = flag.String("repo", "coma.shards", "sharded repository directory")
 		shards       = flag.Int("shards", 4, "shard count (fixed when the repository is created)")
 		workers      = flag.Int("workers", 0, "match worker bound and in-flight match limit (0 = all CPUs)")
-		anLimit      = flag.Int("analyzer-limit", 256, "bound on the engine's cached transient schema analyses (0 = unbounded)")
 		colcache     = flag.Bool("colcache", true, "persist name-similarity columns across batches (engine-scoped column cache)")
 		candIndex    = flag.Bool("candidate-index", true, "maintain the candidate-pruning index (TopK matches skip hopeless candidates; clients opt out per request with \"exhaustive\")")
 		pageCache    = flag.Int("page-cache", 0, "page buffer pool bound per shard, in pages (0 = storage default)")
@@ -165,7 +164,6 @@ func main() {
 		repoDir:      *repoDir,
 		shards:       *shards,
 		workers:      *workers,
-		anLimit:      *anLimit,
 		colcache:     *colcache,
 		candIndex:    *candIndex,
 		pageCache:    *pageCache,
@@ -201,9 +199,6 @@ func run(cfg serveConfig) error {
 		return err
 	}
 	opts := []coma.Option{coma.WithWorkers(cfg.workers), coma.WithSyncPolicy(policy)}
-	if cfg.anLimit > 0 {
-		opts = append(opts, coma.WithAnalyzerLimit(cfg.anLimit))
-	}
 	if cfg.colcache {
 		opts = append(opts, coma.WithPersistentColumnCache())
 	}

@@ -31,7 +31,6 @@ func TestServeSmoke(t *testing.T) {
 			repoDir:  filepath.Join(dir, "shards"),
 			shards:   2,
 			workers:  2,
-			anLimit:  256,
 			colcache: true,
 			preload:  []string{sqlPath},
 			ready:    ready,

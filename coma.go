@@ -47,6 +47,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/candidates"
@@ -183,11 +185,8 @@ type Options struct {
 	ctx      *match.Context
 	feedback *Feedback
 	workers  int
-	// analyzerLimit > 0 bounds the engine's analysis cache (LRU over
-	// unpinned entries); persistCols installs the engine-scoped
-	// persistent column cache.
-	analyzerLimit int
-	persistCols   bool
+	// persistCols installs the engine-scoped persistent column cache.
+	persistCols bool
 	// candIdx is the candidate-pruning inverted index installed by
 	// WithCandidateIndex (nil = exhaustive repository matching).
 	candIdx *candidates.Index
@@ -275,28 +274,22 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithAnalyzerLimit bounds the engine's per-schema analysis cache to n
-// entries: beyond it, the least recently used analyses of transient
-// (unpinned) schemas are evicted. Stored schemas — pinned by the
-// served repository and by Engine.Analyze — are exempt. The limit is
-// a backstop against transient analyses escaping the batch scheduler's
-// end-of-batch eviction; comaserve enables it by default.
+// WithAnalyzerLimit is a no-op kept so existing option lists still
+// compile.
+//
+// Deprecated: the engine's analysis cache needs no bound. A store's
+// analyses live exactly as long as its schemas, and schemas matched
+// inline are analyzed per batch and never cached.
 func WithAnalyzerLimit(n int) Option {
-	return func(o *Options) error {
-		if n <= 0 {
-			return fmt.Errorf("coma: non-positive analyzer limit %d", n)
-		}
-		o.analyzerLimit = n
-		return nil
-	}
+	return func(*Options) error { return nil }
 }
 
 // WithPersistentColumnCache promotes the batch scheduler's per-batch
 // distinct-name column cache to engine scope: scored similarity
 // columns survive across MatchAll batches and repeated single Matches
-// whose incoming schema is retained (stored, or front-loaded with
-// Engine.Analyze), so repeated matching against a stable store stops
-// re-scoring name columns per batch. Results are bit-identical —
+// whose incoming schema the engine caches (stored, matched with Match,
+// or front-loaded with Engine.Analyze), so repeated matching against a
+// stable store stops re-scoring name columns per batch. Results are bit-identical —
 // column values are pure functions of the name pair, the incoming
 // analysis and the auxiliary sources, and the cache self-invalidates
 // when any of them change. comaserve enables it by default.
@@ -319,9 +312,6 @@ func buildOptions(opts []Option) (*Options, error) {
 	}
 	if o.matchers == nil {
 		o.matchers = core.DefaultConfig().Matchers
-	}
-	if o.analyzerLimit > 0 {
-		o.ctx.Analyzer = analysis.NewAnalyzerWithLimit(o.analyzerLimit)
 	}
 	if o.persistCols {
 		o.ctx.Columns = match.NewColumnCache(0)
@@ -366,81 +356,54 @@ func NewEngine(opts ...Option) (*Engine, error) {
 }
 
 // Analyze precomputes the engine's analysis index for a schema (path
-// enumerations, name profiles, dictionary hit-sets, type classes) so
-// that subsequent Match calls find it cached, and pins the schema as
-// retained: its analysis survives the batch scheduler's end-of-batch
-// eviction and any analyzer capacity bound until Release. Analyze is
-// for long-lived schemas (a store's members, a schema matched across
-// many bursts); do NOT call it per request on throwaway schemas —
-// every pin is exempt from WithAnalyzerLimit until Release, so
-// unreleased per-request pins re-create the leak the limit prevents.
-// Transient schemas need no front-loading: the first Match analyzes
-// on demand and the batch evicts at its end. Call Invalidate after
-// structurally modifying a schema.
+// enumerations, name profiles, dictionary hit-sets, type classes) and
+// caches it until Release, so that later matches with the schema on
+// either side find it warm. Engine.Match caches both of its schemas
+// the same way, and MatchAll its candidates, but a MatchAll incoming
+// schema is analyzed for its batch only unless Analyze'd; do not call
+// Analyze per request on throwaway schemas, since nothing evicts them.
+// A ShardedRepository analyzes its stored schemas itself. Call
+// Invalidate after structurally modifying a schema.
 func (e *Engine) Analyze(s *Schema) {
-	e.Pin(s)
 	e.o.ctx.Index(s)
 }
 
-// Pin marks a schema as retained without analyzing it: its cached
-// analysis (once built) is kept across batches and exempt from the
-// analyzer capacity bound until Release. The served repository pins
-// every stored schema, which is what distinguishes a stored incoming
-// schema (analysis stays warm) from a served inline one (analysis is
-// evicted at batch end). Pinning is idempotent: however many times a
-// schema was pinned, a single Release makes it transient again.
-func (e *Engine) Pin(s *Schema) {
-	if a := e.o.ctx.Analyzer; a != nil {
-		a.Pin(s)
-	}
-}
-
-// Release undoes Pin (or Analyze): the schema's analysis becomes
-// transient again — evicted at the end of the next batch that uses it
-// as the incoming side, and subject to the analyzer capacity bound.
+// Release forgets a schema: its cached analysis and any persistent
+// similarity columns scored against it leave the engine, so later
+// batches with it as the incoming side analyze it afresh and keep
+// nothing.
 func (e *Engine) Release(s *Schema) {
-	if a := e.o.ctx.Analyzer; a != nil {
-		a.Release(s)
+	e.o.ctx.Analyzer.Remove(s)
+	if cc := e.o.ctx.Columns; cc != nil {
+		cc.Invalidate(s)
 	}
 }
 
 // Invalidate drops the engine's cached analysis of a schema (or of
 // all schemas when s is nil), along with any persistent similarity
-// columns scored against that analysis. Pins survive: a pinned
-// schema's next analysis is retained again.
+// columns scored against that analysis. The schema stays cached: its
+// next use rebuilds the analysis in place.
 func (e *Engine) Invalidate(s *Schema) {
-	if a := e.o.ctx.Analyzer; a != nil {
-		a.Invalidate(s)
-	}
+	e.o.ctx.Analyzer.Invalidate(s)
 	if cc := e.o.ctx.Columns; cc != nil {
 		cc.Invalidate(s)
 	}
 }
 
 // CachedAnalyses returns the number of schema analyses the engine
-// currently caches. Serving tests assert with it that inline-schema
-// analyses die with their request: after any burst of inline matches,
-// the count stays at the number of stored (pinned) schemas.
-func (e *Engine) CachedAnalyses() int {
-	if a := e.o.ctx.Analyzer; a != nil {
-		return a.Len()
-	}
-	return 0
-}
+// currently caches. For a ShardedRepository's engine that is the
+// number of stored schemas (less any Invalidate emptied and no match
+// has rebuilt yet): serving tests assert with it that inline schemas
+// never enter the cache.
+func (e *Engine) CachedAnalyses() int { return e.o.ctx.Analyzer.Len() }
 
 // AnalyzerCacheStats is a snapshot of an engine's analysis cache:
-// cumulative hits, misses (index builds), evictions, invalidations,
-// tombstones and pins, plus current entry and pin counts.
+// cumulative hits, misses (index builds) and invalidations, plus the
+// current entry count.
 type AnalyzerCacheStats = analysis.AnalyzerStats
 
-// AnalyzerCacheStats returns the engine's analysis-cache counters
-// (zero value when the engine has no analyzer).
-func (e *Engine) AnalyzerCacheStats() AnalyzerCacheStats {
-	if a := e.o.ctx.Analyzer; a != nil {
-		return a.Stats()
-	}
-	return AnalyzerCacheStats{}
-}
+// AnalyzerCacheStats returns the engine's analysis-cache counters.
+func (e *Engine) AnalyzerCacheStats() AnalyzerCacheStats { return e.o.ctx.Analyzer.Stats() }
 
 // ColumnCacheStats is a snapshot of an engine's persistent column
 // cache: cumulative column hits, misses and flushes, plus the number
@@ -547,8 +510,11 @@ func AllowPartial() MatchAllOption {
 // the corresponding Engine.Match result (except that Result.Cube is
 // nil unless KeepCubes is given, and TopK-pruned slots are nil).
 //
-// The batch form beats the equivalent Match loop on both wall-clock
-// and allocations: the incoming schema is analyzed once, all pairs
+// The candidates' analyses are cached in the engine like Match caches
+// them; the incoming schema's is used for the batch only, unless the
+// engine already caches it (Analyze). The batch form beats the
+// equivalent Match loop on both wall-clock and allocations: the
+// incoming schema is analyzed once, all pairs
 // share one worker budget of the engine's WithWorkers bound (many
 // small pairs saturate it as well as one big pair), and the per-pair
 // matrices and similarity grids are recycled through a size-bucketed
@@ -559,9 +525,9 @@ func (e *Engine) MatchAll(incoming *Schema, candidates []*Schema, opts ...MatchA
 
 // MatchAllContext is MatchAll under a request context: once ctx is
 // done, pair workers stop claiming candidates, running fills stop
-// claiming rows, pooled matrices are recycled and transient analyses
-// evicted, and the cancellation cause is returned. A never-canceled
-// ctx yields results bit-identical to MatchAll.
+// claiming rows, pooled matrices are recycled, and the cancellation
+// cause is returned. A never-canceled ctx yields results bit-identical
+// to MatchAll.
 func (e *Engine) MatchAllContext(ctx context.Context, incoming *Schema, candidates []*Schema, opts ...MatchAllOption) ([]*Result, error) {
 	o, err := buildMatchAllOptions(opts)
 	if err != nil {
@@ -572,7 +538,7 @@ func (e *Engine) MatchAllContext(ctx context.Context, incoming *Schema, candidat
 	// the candidate index by every caller's throwaway candidates.
 	o.allowPartial = false
 	o.exhaustive = true
-	results, _, _, err := e.matchBatch(ctx, incoming, [][]*Schema{candidates}, o)
+	results, _, _, err := e.matchBatch(ctx, incoming, [][]*Schema{candidates}, o, false)
 	if err != nil {
 		return nil, err
 	}
@@ -591,27 +557,116 @@ func buildMatchAllOptions(opts []MatchAllOption) (*matchAllOptions, error) {
 }
 
 // matchBatch is the one batch path behind Engine.MatchAll and both
-// repositories' MatchIncoming: it bounds the candidates through the
-// engine's candidate index when the options allow pruning, then runs
-// core.MatchBatch over the groups. The returned stats are non-nil
+// repositories' MatchIncoming. It validates every schema before
+// anything analyzes it, resolves the analyses — the incoming schema's
+// through Lookup, so one the engine does not cache serves this batch
+// only and keeps no persistent columns; the candidates' through Index,
+// or through Lookup when stored is set, since a store inserts and
+// removes its own schemas' analyses — bounds the candidates through
+// the engine's candidate index when the options allow pruning, and
+// runs core.MatchBatch over the groups. The returned stats are non-nil
 // exactly when the batch was pruned.
-func (e *Engine) matchBatch(ctx context.Context, incoming *Schema, groups [][]*Schema, o *matchAllOptions) ([][]*Result, *PruneStats, []ShardError, error) {
+func (e *Engine) matchBatch(ctx context.Context, incoming *Schema, groups [][]*Schema, o *matchAllOptions, stored bool) ([][]*Result, *PruneStats, []ShardError, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var bounds [][]float64
-	if spec := e.pruneSpec(o); spec != nil {
-		var err error
-		if bounds, err = e.candidateBounds(ctx, spec, incoming, groups, o.maxCandidates); err != nil {
-			return nil, nil, nil, err
+	if err := incoming.Validate(); err != nil {
+		return nil, nil, nil, fmt.Errorf("coma: schema %s: %w", incoming.Name, err)
+	}
+	for gi, g := range groups {
+		for ci, c := range g {
+			if err := c.Validate(); err != nil {
+				return nil, nil, nil, fmt.Errorf("coma: group %d candidate %d (%s): %w", gi, ci, c.Name, err)
+			}
 		}
 	}
-	results, stats, groupErrs, err := core.MatchBatch(ctx, e.o.ctx, incoming, groups, bounds, e.config(),
+	cands, err := e.analyzeGroups(ctx, groups, stored)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	mctx := e.o.ctx
+	in, cached := mctx.Analyzer.Lookup(incoming, mctx.Sources())
+	var bounds [][]float64
+	if spec := e.pruneSpec(o); spec != nil {
+		bounds = e.candidateBounds(spec, in, cands, o.maxCandidates, stored)
+	}
+	if !cached && mctx.Columns != nil {
+		// Columns keyed by a batch-only analysis could never be found
+		// again; keep them per batch.
+		c := *mctx
+		c.Columns = nil
+		mctx = &c
+	}
+	results, stats, groupErrs, err := core.MatchBatch(ctx, mctx, in, cands, bounds, e.config(),
 		core.BatchOptions{TopK: o.topK, KeepCubes: o.keepCubes, AllowPartial: o.allowPartial})
 	if err != nil || bounds == nil {
 		return results, nil, groupErrs, err
 	}
 	return results, &stats, groupErrs, nil
+}
+
+// analyzeGroups resolves one analysis per candidate, index-aligned
+// with groups: through Index (cached) for a caller's candidate list,
+// through Lookup for a store's own schemas. Analyses the cache lacks
+// build in parallel over the engine's worker bound.
+func (e *Engine) analyzeGroups(ctx context.Context, groups [][]*Schema, stored bool) ([][]*analysis.SchemaIndex, error) {
+	var all []*Schema
+	for _, g := range groups {
+		all = append(all, g...)
+	}
+	a, src := e.o.ctx.Analyzer, e.o.ctx.Sources()
+	flat := make([]*analysis.SchemaIndex, len(all))
+	err := parallelFor(ctx, e.o.workers, len(all), func(i int) {
+		if stored {
+			flat[i], _ = a.Lookup(all[i], src)
+		} else {
+			flat[i] = a.Index(all[i], src)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]*analysis.SchemaIndex, len(groups))
+	for i, g := range groups {
+		out[i], flat = flat[:len(g):len(g)], flat[len(g):]
+	}
+	return out, nil
+}
+
+// parallelFor calls fn(i) for every i in [0, n) on up to workers
+// goroutines (0 = runtime.NumCPU()) and returns ctx's cause when ctx
+// ends the loop early.
+func parallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
+	done := ctx.Done()
+	var next atomic.Int64
+	work := func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(match.ResolveWorkers(workers), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
+	return nil
 }
 
 // Session is an interactive match session carrying user feedback

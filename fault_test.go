@@ -96,8 +96,7 @@ func TestServedMatchCancellation(t *testing.T) {
 func testServedMatchCancellation(t *testing.T, shards int) {
 	const stored = 4
 	slow := &slowMatcher{inner: match.NewName()}
-	ts, repo := newServedRepo(t, shards, stored,
-		coma.WithMatcherInstances(slow), coma.WithAnalyzerLimit(64))
+	ts, repo := newServedRepo(t, shards, stored, coma.WithMatcherInstances(slow))
 	engine := repo.Engine()
 	client := coma.NewClient(ts.URL)
 	ctx := context.Background()

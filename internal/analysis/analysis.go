@@ -27,8 +27,8 @@
 // sources' mutation versions; structurally modifying the schema
 // (followed by schema.Invalidate), swapping a source instance, or
 // mutating a source in place (a new synonym, a remapped type name)
-// all make Valid report false, and Analyzer.Index transparently
-// rebuilds. Hand-held indexes must be rebuilt by their owner. None of
+// all make Valid report false, and Analyzer.Index and Analyzer.Lookup
+// rebuild in place. Hand-held indexes must be rebuilt by their owner. None of
 // this may happen while a match is running.
 //
 // Every precomputed artifact mirrors a direct computation bit for
@@ -410,278 +410,142 @@ func (x *SchemaIndex) Valid(s *schema.Schema, src Sources) bool {
 // k matchers of one operation, across repeated Match calls on the
 // same schema (the repository/reuse scenario), and across the
 // evaluation harness's whole series grid. It is safe for concurrent
-// use; the zero value is not usable, construct with NewAnalyzer or
-// NewAnalyzerWithLimit.
+// use; the zero value is not usable, construct with NewAnalyzer.
 //
 // # Entry lifetime
 //
-// By default every analyzed schema stays cached until Invalidate — the
-// right policy for a fixed working set (a repository's stored schemas,
-// an evaluation grid), and a leak for request-scoped schemas: a server
-// matching inline uploads would retain one entry per request forever.
-// Two mechanisms bound the cache:
-//
-//   - Pin/Release mark long-lived instances (stored schemas). Evict —
-//     called by the batch scheduler for the incoming schema at batch
-//     end — drops an entry unless it is pinned, so request-scoped
-//     indexes die with their batch while stored ones stay warm.
-//   - NewAnalyzerWithLimit adds a capacity backstop: when the number of
-//     unpinned cached indexes exceeds the limit, the least recently
-//     used unpinned entries are evicted. Pinned entries are exempt and
-//     do not count toward the limit.
+// The cache has no bound and evicts nothing: an entry lives from the
+// first Index (or Seed) of its schema until Remove. What enters is the
+// owner's decision. Index inserts; Lookup only reads, and answers a
+// schema without an entry with a throwaway index. A repository store
+// inserts each schema when it stores it, removes it when the schema
+// leaves, and matches through Lookup, so its entries are exactly its
+// stored schemas and request-scoped schemas never enter. Invalidate
+// drops built indexes but keeps their entries; the next Index or
+// Lookup rebuilds in place.
 type Analyzer struct {
 	mu      sync.Mutex
 	entries map[*schema.Schema]*analyzerEntry
-	// limit bounds the number of unpinned cached indexes (0 = no
-	// bound); pinned entries are exempt.
-	limit int
-	// seq is the LRU clock: every Index access stamps the entry. It
-	// doubles as the tombstone/batch-window clock — one monotonic
-	// counter orders accesses, batch starts and deletions alike.
-	seq int64
-	// active holds the start stamps of the batch windows currently
-	// open (BeginBatch); dead holds tombstones: schemas deleted while
-	// a window was open, stamped with the deletion time. While a
-	// schema is tombstoned, Index serves throwaway indexes instead of
-	// caching, so an in-flight batch that captured the schema before
-	// its DELETE cannot resurrect the entry by publishing after it.
-	// Tombstones are reclaimed at window close: once every window
-	// that predates a deletion has ended, no in-flight build can
-	// still hold the schema and the tombstone is dropped.
-	active map[int64]struct{}
-	dead   map[*schema.Schema]int64
 
-	// Lifecycle counters, cumulative since construction. Atomic (not
+	// Traffic counters, cumulative since construction. Atomic (not
 	// guarded by mu) so Stats can be read from exposition paths without
 	// contending with builds; see AnalyzerStats for meanings.
 	hits          atomic.Uint64
 	misses        atomic.Uint64
-	evictions     atomic.Uint64
 	invalidations atomic.Uint64
-	tombstones    atomic.Uint64
-	pins          atomic.Uint64
 }
 
 // AnalyzerStats is a point-in-time snapshot of the cache's cumulative
-// lifecycle counters plus its current occupancy. Counters are
-// monotonic; Entries/Pinned are instantaneous.
+// traffic counters plus its current occupancy. Counters are monotonic;
+// Entries is instantaneous.
 type AnalyzerStats struct {
-	// Hits counts Index calls served from a cached, still-valid index.
+	// Hits counts Index and Lookup calls served from a cached,
+	// still-valid index.
 	Hits uint64
-	// Misses counts index builds: first use, stale rebuilds, and
-	// throwaway builds for tombstoned schemas.
+	// Misses counts index builds: first use, stale rebuilds, and the
+	// throwaway builds Lookup makes for schemas without an entry.
 	Misses uint64
-	// Evictions counts entries dropped by Evict or the LRU capacity
-	// backstop.
-	Evictions uint64
 	// Invalidations counts entries whose index was dropped by
 	// Invalidate (wholesale Invalidate(nil) counts each entry).
 	Invalidations uint64
-	// Tombstones counts deletions that laid a tombstone because a batch
-	// window was open (the delete/batch race being defused).
-	Tombstones uint64
-	// Pins counts Pin calls.
-	Pins uint64
 	// Entries is the number of currently cached built indexes (as Len).
 	Entries int
-	// Pinned is the number of currently pinned schemas.
-	Pinned int
 }
 
 // Stats returns the cache's cumulative counters and current occupancy.
 func (a *Analyzer) Stats() AnalyzerStats {
-	st := AnalyzerStats{
+	return AnalyzerStats{
 		Hits:          a.hits.Load(),
 		Misses:        a.misses.Load(),
-		Evictions:     a.evictions.Load(),
 		Invalidations: a.invalidations.Load(),
-		Tombstones:    a.tombstones.Load(),
-		Pins:          a.pins.Load(),
+		Entries:       a.Len(),
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, e := range a.entries {
-		if e.idx.Load() != nil {
-			st.Entries++
-		}
-		if e.pinned {
-			st.Pinned++
-		}
-	}
-	return st
 }
 
-// analyzerEntry serializes builds per schema: concurrent Index calls
-// on different schemas analyze in parallel, while calls on the same
-// schema block on one build (which also guards the schema's lazy path
-// enumeration against concurrent first use). The index pointer is
-// atomic so map-level operations (eviction scans, Len) read it without
-// taking the build lock.
+// analyzerEntry serializes builds per schema: concurrent builds of
+// different schemas run in parallel, while builds of the same schema
+// wait for one (which also guards the schema's lazy path enumeration).
+// The index pointer is atomic so Peek and Len read it without taking
+// the build lock.
 type analyzerEntry struct {
 	mu  sync.Mutex
 	idx atomic.Pointer[SchemaIndex]
-	// pinned and lastUse are guarded by Analyzer.mu.
-	pinned  bool
-	lastUse int64
 }
 
-// NewAnalyzer returns an empty, unbounded analysis cache.
+// NewAnalyzer returns an empty analysis cache.
 func NewAnalyzer() *Analyzer {
-	return &Analyzer{
-		entries: make(map[*schema.Schema]*analyzerEntry),
-		active:  make(map[int64]struct{}),
-		dead:    make(map[*schema.Schema]int64),
-	}
+	return &Analyzer{entries: make(map[*schema.Schema]*analyzerEntry)}
 }
 
-// NewAnalyzerWithLimit returns an analysis cache that retains at most
-// limit unpinned indexes, evicting least-recently-used ones beyond
-// that; limit <= 0 means unbounded. Pinned entries are exempt from the
-// bound. The limit is a backstop for transient schemas that escape the
-// batch scheduler's end-of-batch eviction; size it at a multiple of
-// the expected concurrent transient set, not the stored working set.
-func NewAnalyzerWithLimit(limit int) *Analyzer {
-	if limit < 0 {
-		limit = 0
-	}
-	return &Analyzer{
-		entries: make(map[*schema.Schema]*analyzerEntry),
-		limit:   limit,
-		active:  make(map[int64]struct{}),
-		dead:    make(map[*schema.Schema]int64),
-	}
-}
-
-// BeginBatch opens a batch window and returns its closer (idempotent).
-// While any window is open, Evict and single-schema Invalidate
-// tombstone their target instead of merely dropping it: an in-flight
-// match that captured the schema before the deletion gets throwaway
-// indexes from then on and cannot re-publish the analysis into the
-// cache. Every match operation that may run concurrently with schema
-// deletion must bracket itself with BeginBatch/close; the batch
-// schedulers do so via match.Context.BeginAnalysis.
-func (a *Analyzer) BeginBatch() func() {
+func (a *Analyzer) entry(s *schema.Schema) *analyzerEntry {
 	a.mu.Lock()
-	a.seq++
-	id := a.seq
-	a.active[id] = struct{}{}
-	a.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			delete(a.active, id)
-			a.pruneDeadLocked()
-		})
-	}
+	defer a.mu.Unlock()
+	return a.entries[s]
 }
 
-// killLocked tombstones a schema under a.mu when any batch window is
-// open; with no window open no in-flight build can exist and a plain
-// drop suffices.
-func (a *Analyzer) killLocked(s *schema.Schema) {
-	if len(a.active) == 0 {
-		return
-	}
-	a.seq++
-	a.dead[s] = a.seq
-	a.tombstones.Add(1)
-}
-
-// pruneDeadLocked reclaims tombstones under a.mu: with no window open
-// all of them, otherwise those older than every open window (no
-// remaining window can predate the deletion, so no in-flight build can
-// still hold the schema).
-func (a *Analyzer) pruneDeadLocked() {
-	if len(a.dead) == 0 {
-		return
-	}
-	if len(a.active) == 0 {
-		clear(a.dead)
-		return
-	}
-	oldest := int64(0)
-	for id := range a.active {
-		if oldest == 0 || id < oldest {
-			oldest = id
-		}
-	}
-	for s, killed := range a.dead {
-		if killed < oldest {
-			delete(a.dead, s)
-		}
-	}
-}
-
-// Index returns the cached index for the schema, building it on first
-// use. A cached index that went stale — the schema was structurally
-// modified (and Invalidate'd), or the sources differ or were mutated —
-// is rebuilt transparently.
+// Index returns the cached index for the schema, inserting an entry and
+// building the index on first use. A cached index that went stale —
+// the schema was structurally modified (and Invalidate'd), or the
+// sources differ or were mutated — is rebuilt in place.
 func (a *Analyzer) Index(s *schema.Schema, src Sources) *SchemaIndex {
 	a.mu.Lock()
-	if _, killed := a.dead[s]; killed {
-		// The schema was deleted while a batch still in flight may
-		// reference it: serve a throwaway index so that match completes
-		// correctly without the cache resurrecting the deleted entry.
-		a.mu.Unlock()
-		a.misses.Add(1)
-		return NewIndex(s, src)
-	}
 	e := a.entries[s]
 	if e == nil {
 		e = &analyzerEntry{}
 		a.entries[s] = e
 	}
-	a.seq++
-	e.lastUse = a.seq
 	a.mu.Unlock()
-	e.mu.Lock()
-	idx := e.idx.Load()
-	rebuilt := false
-	// The build runs under a deferred unlock so a panicking NewIndex
-	// (pathological schema) cannot strand the per-schema build lock —
-	// a permanently held e.mu would deadlock every later Index call on
-	// this schema.
-	func() {
-		defer e.mu.Unlock()
-		if !idx.Valid(s, src) {
-			// A stale index still holds valid name profiles when only the
-			// schema changed; rebuild incrementally off it.
-			idx = NewIndexReusing(s, src, idx)
-			e.idx.Store(idx)
-			rebuilt = true
-		}
-	}()
-	if rebuilt {
+	return a.build(e, s, src)
+}
+
+// Lookup is Index without insertion: a schema with an entry is served
+// (and rebuilt in place when stale) exactly as by Index, and cached
+// reports true; a schema without one gets a throwaway index, counted
+// as a miss, and cached reports false.
+func (a *Analyzer) Lookup(s *schema.Schema, src Sources) (idx *SchemaIndex, cached bool) {
+	e := a.entry(s)
+	if e == nil {
 		a.misses.Add(1)
-		a.enforceLimit()
-	} else {
-		a.hits.Add(1)
+		return NewIndex(s, src), false
 	}
+	return a.build(e, s, src), true
+}
+
+// build returns e's index for (s, src), rebuilding it when stale. A
+// build racing Remove or Invalidate publishes into the entry it
+// started on, which is no longer in the map, so a dropped entry never
+// comes back.
+func (a *Analyzer) build(e *analyzerEntry, s *schema.Schema, src Sources) *SchemaIndex {
+	// Deferred unlock: a panicking build (pathological schema) must not
+	// strand the per-schema build lock.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	idx := e.idx.Load()
+	if idx.Valid(s, src) {
+		a.hits.Add(1)
+		return idx
+	}
+	// A stale index still holds valid name profiles when only the
+	// schema changed; rebuild incrementally off it.
+	idx = NewIndexReusing(s, src, idx)
+	e.idx.Store(idx)
+	a.misses.Add(1)
 	return idx
 }
 
 // Seed installs a pre-built index for its schema without counting
 // cache traffic — the warm-restart path, which restores analyses from
 // a persisted artifact instead of rebuilding them. An index that is
-// not valid for (s, its own sources) is ignored. Seeding re-adopts a
-// tombstoned schema, like Pin.
+// not valid for (s, its own sources) is ignored.
 func (a *Analyzer) Seed(s *schema.Schema, idx *SchemaIndex) {
 	if s == nil || idx == nil || !idx.Valid(s, idx.Src) {
 		return
 	}
+	e := &analyzerEntry{}
+	e.idx.Store(idx)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	delete(a.dead, s)
-	e := a.entries[s]
-	if e == nil {
-		e = &analyzerEntry{}
-		a.entries[s] = e
-	}
-	a.seq++
-	e.lastUse = a.seq
-	e.idx.Store(idx)
+	a.entries[s] = e
 }
 
 // Peek returns the cached index for s when one is present and still
@@ -689,9 +553,7 @@ func (a *Analyzer) Seed(s *schema.Schema, idx *SchemaIndex) {
 // traffic — the checkpoint export path, which persists exactly the
 // analyses that are warm.
 func (a *Analyzer) Peek(s *schema.Schema) *SchemaIndex {
-	a.mu.Lock()
-	e := a.entries[s]
-	a.mu.Unlock()
+	e := a.entry(s)
 	if e == nil {
 		return nil
 	}
@@ -702,154 +564,38 @@ func (a *Analyzer) Peek(s *schema.Schema) *SchemaIndex {
 	return idx
 }
 
-// enforceLimit evicts least-recently-used unpinned indexes while more
-// than limit are cached.
-func (a *Analyzer) enforceLimit() {
-	if a.limit <= 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		over := -a.limit
-		var victim *schema.Schema
-		var victimUse int64
-		for s, e := range a.entries {
-			if e.pinned || e.idx.Load() == nil {
-				continue
-			}
-			over++
-			if victim == nil || e.lastUse < victimUse {
-				victim, victimUse = s, e.lastUse
-			}
-		}
-		if over <= 0 || victim == nil {
-			return
-		}
-		delete(a.entries, victim)
-		a.evictions.Add(1)
-	}
-}
-
-// Pin marks a schema as long-lived: its cached index survives Evict
-// and the capacity bound until Release. Pinning is idempotent — a
-// schema is pinned or not, and one Release unpins it regardless of
-// how many Pins preceded (so re-mounting a server handler or calling
-// Analyze repeatedly can never strand a deleted schema's entry behind
-// leftover pins). Pin does not build the index — pair with Index (or
-// the engine's Analyze) to front-load analysis.
-func (a *Analyzer) Pin(s *schema.Schema) {
-	if s == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// Pinning re-adopts: a schema re-imported (or re-pinned) after a
-	// tombstoning delete is long-lived again and must cache normally.
-	delete(a.dead, s)
-	e := a.entries[s]
-	if e == nil {
-		e = &analyzerEntry{}
-		a.entries[s] = e
-	}
-	e.pinned = true
-	a.pins.Add(1)
-}
-
-// Release unpins a schema. The index (if any) stays cached but
-// becomes evictable again; a never-analyzed entry is dropped
-// entirely.
-func (a *Analyzer) Release(s *schema.Schema) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e := a.entries[s]
-	if e == nil {
-		return
-	}
-	e.pinned = false
-	if e.idx.Load() == nil {
-		delete(a.entries, s)
-	}
-}
-
-// Pinned reports whether the schema is currently pinned.
-func (a *Analyzer) Pinned(s *schema.Schema) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e := a.entries[s]
-	return e != nil && e.pinned
-}
-
-// Evict drops the cached index of a transient schema; pinned schemas
-// are left untouched. It reports whether an entry was dropped. The
-// batch schedulers call it for the incoming schema at batch end, so a
-// served inline schema's analysis dies with its request instead of
-// accumulating in the engine's cache. While a batch window
-// is open (BeginBatch), the schema is additionally tombstoned — even
-// when no entry exists yet — so a concurrent batch's build publishing
-// after the eviction is dropped instead of resurrecting the entry.
-func (a *Analyzer) Evict(s *schema.Schema) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e := a.entries[s]
-	if e != nil && e.pinned {
-		return false
-	}
-	a.killLocked(s)
-	if e == nil {
-		return false
-	}
-	delete(a.entries, s)
-	a.evictions.Add(1)
-	return true
-}
-
-// Invalidate drops the cached index of a schema (or all schemas when
-// s is nil); call it after structurally modifying a schema that may
-// be matched again. Pins survive: a pinned schema's entry stays (and
-// stays exempt from eviction), only its stale index is dropped.
-//
-// Invalidating an unpinned schema while a batch window is open
-// additionally tombstones it (see BeginBatch) — the delete path
-// (Release then Invalidate) relies on this so an in-flight match
-// holding the deleted instance cannot re-publish its analysis. The
-// wholesale Invalidate(nil) never tombstones: it flushes for
-// consistency, and still-stored schemas must re-cache on next use.
+// Invalidate drops the built index of a schema (of every schema when s
+// is nil) but keeps the entry, so the next Index or Lookup rebuilds
+// it; call it after structurally modifying a schema that may be
+// matched again. The entry is replaced rather than cleared, so a build
+// racing the call publishes into the old entry instead of undoing the
+// drop.
 func (a *Analyzer) Invalidate(s *schema.Schema) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if s == nil {
-		for k, e := range a.entries {
-			a.dropLocked(k, e)
+		for k := range a.entries {
+			a.entries[k] = &analyzerEntry{}
+			a.invalidations.Add(1)
 		}
 		return
 	}
-	e := a.entries[s]
-	if e == nil || !e.pinned {
-		a.killLocked(s)
-	}
-	if e != nil {
-		a.dropLocked(s, e)
+	if _, ok := a.entries[s]; ok {
+		a.entries[s] = &analyzerEntry{}
+		a.invalidations.Add(1)
 	}
 }
 
-// dropLocked removes one entry's index under a.mu: unpinned entries
-// are deleted; pinned ones are replaced by a fresh index-less entry
-// carrying the pin (replaced rather than mutated, so a build racing
-// on the old entry publishes into an orphan instead of resurrecting a
-// dropped index).
-func (a *Analyzer) dropLocked(s *schema.Schema, e *analyzerEntry) {
-	a.invalidations.Add(1)
-	if e.pinned {
-		a.entries[s] = &analyzerEntry{pinned: true, lastUse: e.lastUse}
-		return
-	}
+// Remove forgets a schema: its entry and index leave the cache, so
+// Lookup no longer serves it and only a new Index can bring it back.
+func (a *Analyzer) Remove(s *schema.Schema) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	delete(a.entries, s)
 }
 
 // Len returns the number of cached indexes (entries that currently
-// hold a built index; bare pins do not count). Serving tests assert
-// with it that inline-schema analyses do not accumulate.
+// hold a built index; entries emptied by Invalidate do not count).
 func (a *Analyzer) Len() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -372,105 +372,3 @@ func TestInvalidateCatchesInPlaceEdit(t *testing.T) {
 		t.Error("unchanged schema must hit the cache")
 	}
 }
-
-// TestAnalyzerPinEvict covers the lifetime split between stored and
-// transient schemas: Evict drops an unpinned entry, leaves a pinned
-// one, and Release makes it evictable again. Invalidate keeps pins
-// while dropping the stale index.
-func TestAnalyzerPinEvict(t *testing.T) {
-	a := analysis.NewAnalyzer()
-	src := defaultSources()
-	stored, inline := workload.Schemas()[0], workload.Schemas()[1]
-
-	a.Pin(stored)
-	x1 := a.Index(stored, src)
-	a.Index(inline, src)
-	if a.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", a.Len())
-	}
-	if !a.Pinned(stored) || a.Pinned(inline) {
-		t.Fatal("pin state wrong")
-	}
-	if !a.Evict(inline) {
-		t.Error("evicting a transient entry must report true")
-	}
-	if a.Evict(stored) {
-		t.Error("evicting a pinned entry must be refused")
-	}
-	if a.Len() != 1 {
-		t.Fatalf("Len after eviction = %d, want 1", a.Len())
-	}
-	if a.Index(stored, src) != x1 {
-		t.Error("pinned index must survive eviction untouched")
-	}
-
-	// Invalidate drops the pinned schema's index but keeps the pin.
-	a.Invalidate(stored)
-	if a.Len() != 0 {
-		t.Fatalf("Len after Invalidate = %d, want 0", a.Len())
-	}
-	if !a.Pinned(stored) {
-		t.Error("Invalidate must not drop pins")
-	}
-	x2 := a.Index(stored, src)
-	if x2 == x1 {
-		t.Error("Invalidate must force a rebuild")
-	}
-	if a.Evict(stored) {
-		t.Error("rebuilt pinned entry must still refuse eviction")
-	}
-
-	// Release makes the entry transient again.
-	a.Release(stored)
-	if a.Pinned(stored) {
-		t.Error("Release must clear the pin")
-	}
-	if !a.Evict(stored) {
-		t.Error("released entry must evict")
-	}
-	if a.Len() != 0 {
-		t.Errorf("Len = %d, want 0", a.Len())
-	}
-}
-
-// TestAnalyzerLimitLRU covers the capacity backstop: beyond the limit
-// the least recently used unpinned indexes are evicted; pinned entries
-// neither count toward the limit nor get evicted.
-func TestAnalyzerLimitLRU(t *testing.T) {
-	a := analysis.NewAnalyzerWithLimit(2)
-	src := defaultSources()
-	rng := rand.New(rand.NewSource(7))
-	pinned := randomSchema(rng, "Pinned")
-	s1 := randomSchema(rng, "S1")
-	s2 := randomSchema(rng, "S2")
-	s3 := randomSchema(rng, "S3")
-
-	a.Pin(pinned)
-	px := a.Index(pinned, src)
-	x1 := a.Index(s1, src)
-	a.Index(s2, src)
-	if a.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (pinned exempt from the bound)", a.Len())
-	}
-	// Touch s1 so s2 is the LRU victim when s3 arrives.
-	if a.Index(s1, src) != x1 {
-		t.Fatal("s1 must still be cached")
-	}
-	a.Index(s3, src)
-	if a.Len() != 3 {
-		t.Fatalf("Len after overflow = %d, want 3", a.Len())
-	}
-	if a.Index(pinned, src) != px {
-		t.Error("pinned entry must survive LRU pressure")
-	}
-	if a.Index(s1, src) != x1 {
-		t.Error("recently used entry must survive LRU pressure")
-	}
-	// s2 was evicted: indexing it again builds afresh (observable as a
-	// new pointer) and in turn evicts the then-LRU entry, keeping the
-	// unpinned population at the limit.
-	a.Index(s2, src)
-	if a.Len() != 3 {
-		t.Errorf("Len = %d, want 3", a.Len())
-	}
-}

@@ -74,6 +74,18 @@ func (d *artDecoder) varint() int64 {
 	return v
 }
 
+// count reads an element count and rejects one the remaining bytes
+// cannot hold at minBytes per element, so a corrupt count cannot drive
+// an allocation larger than the input.
+func (d *artDecoder) count(minBytes int, what string) uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64((len(d.buf)-d.off)/minBytes) {
+		d.fail(what)
+		return 0
+	}
+	return n
+}
+
 func (d *artDecoder) str() string {
 	n := d.uvarint()
 	if d.err != nil {
@@ -120,15 +132,10 @@ func encodeProfile(e *artEncoder, np *strutil.NameProfile) {
 	}
 }
 
-// maxArtifactSlice bounds decoded slice lengths so a corrupt count
-// cannot drive an allocation by itself; real counts are far below it.
-const maxArtifactSlice = 1 << 24
-
 func decodeProfile(d *artDecoder, src Sources) *strutil.NameProfile {
 	name := d.str()
-	nTok := d.uvarint()
-	if d.err != nil || nTok > maxArtifactSlice {
-		d.fail("token count")
+	nTok := d.count(1, "token count")
+	if d.err != nil {
 		return nil
 	}
 	np := &strutil.NameProfile{
@@ -140,21 +147,13 @@ func decodeProfile(d *artDecoder, src Sources) *strutil.NameProfile {
 		tok := d.str()
 		tp := strutil.NewTokenProfile(tok, profiledGramNs...)
 		dictID := int32(d.varint())
-		nRel := d.uvarint()
-		if nRel > maxArtifactSlice {
-			d.fail("relation count")
-			return nil
-		}
+		nRel := d.count(8, "relation count") // each relation holds a float
 		var rel []strutil.IDSim
 		for r := uint64(0); r < nRel && d.err == nil; r++ {
 			id := int32(d.varint())
 			rel = append(rel, strutil.IDSim{ID: id, Sim: d.f64()})
 		}
-		nChain := d.uvarint()
-		if nChain > maxArtifactSlice {
-			d.fail("chain count")
-			return nil
-		}
+		nChain := d.count(1, "chain count")
 		var chain []int32
 		for c := uint64(0); c < nChain && d.err == nil; c++ {
 			chain = append(chain, int32(d.varint()))
@@ -208,9 +207,8 @@ func RestoreIndex(s *schema.Schema, src Sources, data []byte) (*SchemaIndex, err
 		return nil, fmt.Errorf("analysis: artifact version %d, want %d", v, artifactVersion)
 	}
 	decodeSet := func() map[string]*strutil.NameProfile {
-		n := d.uvarint()
-		if d.err != nil || n > maxArtifactSlice {
-			d.fail("profile count")
+		n := d.count(1, "profile count")
+		if d.err != nil {
 			return nil
 		}
 		m := make(map[string]*strutil.NameProfile, n)

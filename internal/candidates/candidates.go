@@ -92,13 +92,13 @@
 //
 // The index is maintained incrementally: Add posts one schema's keys
 // (replacing any previous posting of the same schema), Remove unposts
-// them; the served repository hooks both into PUT/DELETE. A slot whose
-// analysis no longer matches the schema's current structure or the
-// query's auxiliary sources (SchemaIndex.Valid) yields +Inf — the
+// them; a repository store calls both from its schema mutators. A slot
+// whose analysis no longer matches the schema's current structure or
+// the query's auxiliary sources (SchemaIndex.Valid) yields +Inf — the
 // candidate is always matched, never wrongly skipped — and callers
-// re-Add opportunistically at query time, so direct (un-hooked) store
-// mutation degrades to exhaustive work for the affected schemas, never
-// to wrong results.
+// re-post opportunistically at query time (Refresh, or Add for a
+// candidate list nobody maintains), so direct store mutation degrades
+// to exhaustive work for the affected schemas, never to wrong results.
 package candidates
 
 import (
@@ -305,6 +305,21 @@ func classMasks(x *analysis.SchemaIndex) (all, leaves uint16) {
 // SchemaIndex.Valid, so a racing mutation degrades to a forced match,
 // never to a wrong skip.
 func (ix *Index) Add(s *schema.Schema, x *analysis.SchemaIndex) {
+	ix.post(s, x, false)
+}
+
+// Refresh re-posts an indexed schema from a newer analysis and reports
+// whether the schema was indexed. A schema that is not — never added,
+// or removed — stays out, so a query-time refresh racing a deletion
+// cannot re-insert the deleted schema.
+func (ix *Index) Refresh(s *schema.Schema, x *analysis.SchemaIndex) bool {
+	return ix.post(s, x, true)
+}
+
+// post replaces s's posting with one built from x, or adds one when s
+// is not indexed yet and onlyIndexed is false; it reports whether s is
+// indexed afterwards.
+func (ix *Index) post(s *schema.Schema, x *analysis.SchemaIndex, onlyIndexed bool) bool {
 	keys, mults, tminName, tminLong, tminLeaf := collectKeys(x)
 	all, leafs := classMasks(x)
 	sl := slot{
@@ -316,6 +331,8 @@ func (ix *Index) Add(s *schema.Schema, x *analysis.SchemaIndex) {
 	defer ix.mu.Unlock()
 	if sid, ok := ix.bySchema[s]; ok {
 		ix.removeLocked(sid)
+	} else if onlyIndexed {
+		return false
 	}
 	var sid int32
 	if n := len(ix.free); n > 0 {
@@ -334,6 +351,7 @@ func (ix *Index) Add(s *schema.Schema, x *analysis.SchemaIndex) {
 		})
 	}
 	ix.posts += len(keys)
+	return true
 }
 
 // Remove unposts a schema, reporting whether it was indexed.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/candidates"
 	"repro/internal/core"
 	"repro/internal/match"
@@ -124,7 +125,11 @@ func TestBoundsAdmissible(t *testing.T) {
 		}
 		probe := candidates.NewProbe(spec, mctx.Index(incoming))
 		bounds := idx.Bounds(probe, cands)
-		groups, _, _, err := core.MatchBatch(context.Background(), mctx, incoming, [][]*schema.Schema{cands}, nil, cfg, core.BatchOptions{})
+		var xs []*analysis.SchemaIndex
+		for _, s := range cands {
+			xs = append(xs, mctx.Index(s))
+		}
+		groups, _, _, err := core.MatchBatch(context.Background(), mctx, mctx.Index(incoming), [][]*analysis.SchemaIndex{xs}, nil, cfg, core.BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/match"
-	"repro/internal/schema"
 	"repro/internal/simcube"
 )
 
@@ -53,18 +52,22 @@ func (e ShardError) Unwrap() error { return e.Err }
 // schemas in a single scheduled batch — the repository-server
 // workload, where a new schema is compared against every stored one.
 // It is the one batch entry point: a plain candidate list is one
-// group, a sharded store passes one group per storage shard. Every
-// pair is analyzed and matched through mctx (nil means a zero-value
-// context: throwaway analyses). The result has one slice per group,
-// index-aligned with the group's candidates, each entry bit-identical
-// to Match(mctx, incoming, candidate, cfg), except that Cube is nil
-// unless BatchOptions.KeepCubes and that slots cut by TopK or skipped
-// by bound pruning are nil.
+// group, a sharded store passes one group per storage shard. The
+// caller hands in every schema's analysis — the incoming index and one
+// index per candidate — so where analyses come from and how long they
+// live is the caller's business; each index's schema must be valid
+// (schema.Validate), which the caller checks before analyzing it,
+// since enumerating an invalid schema's paths need not terminate.
+// Pairs match through mctx (nil means a zero-value context). The
+// result has one slice per group, index-aligned with the group's
+// candidates, each entry bit-identical to Match(mctx, incoming,
+// candidate, cfg), except that Cube is nil unless
+// BatchOptions.KeepCubes and that slots cut by TopK or skipped by
+// bound pruning are nil.
 //
 // Compared to a loop of Match calls, the batch:
 //
-//   - analyzes the incoming schema exactly once up front (candidates
-//     hit the context's analyzer cache as usual);
+//   - shares one incoming analysis across all pairs;
 //   - schedules all pairs over one shared worker budget of
 //     Config.Workers slots (a non-zero value overrides the context's
 //     bound): pair-level workers claim pairs from a shared queue, and
@@ -76,9 +79,11 @@ func (e ShardError) Unwrap() error { return e.Err }
 //     the caller: results hold only arena-free memory;
 //   - memoizes scored distinct-name similarity columns across pairs:
 //     the incoming side is fixed, so a candidate name recurring across
-//     the batch is scored against the incoming names once. A retained
-//     (pinned) incoming schema draws on the context's persistent column
-//     cache instead, so later batches find its columns warm.
+//     the batch is scored against the incoming names once. When mctx
+//     carries a persistent column cache (match.Context.Columns) the
+//     columns go there, keyed by the incoming index, so later batches
+//     with the same incoming analysis find them warm; otherwise they die
+//     with the batch.
 //
 // Groups exist for graceful degradation only: with
 // BatchOptions.AllowPartial, a group with a failing pair is dropped —
@@ -109,10 +114,9 @@ func (e ShardError) Unwrap() error { return e.Err }
 //
 // Cancellation: once ctx is done (nil means context.Background), the
 // workers stop claiming pairs, the row-parallel fills inside running
-// pairs stop claiming rows, every pooled matrix is recycled, the
-// incoming schema's transient analysis is evicted, and the
+// pairs stop claiming rows, every pooled matrix is recycled, and the
 // cancellation cause is returned — never a partial result.
-func MatchBatch(ctx context.Context, mctx *match.Context, incoming *schema.Schema, groups [][]*schema.Schema, bounds [][]float64, cfg Config, opt BatchOptions) ([][]*Result, PruneStats, []ShardError, error) {
+func MatchBatch(ctx context.Context, mctx *match.Context, incoming *analysis.SchemaIndex, groups [][]*analysis.SchemaIndex, bounds [][]float64, cfg Config, opt BatchOptions) ([][]*Result, PruneStats, []ShardError, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -132,9 +136,6 @@ func MatchBatch(ctx context.Context, mctx *match.Context, incoming *schema.Schem
 			return nil, PruneStats{}, nil, fmt.Errorf("core: %d bound groups for %d candidate groups", len(bounds), len(groups))
 		}
 	}
-	if err := incoming.Validate(); err != nil {
-		return nil, PruneStats{}, nil, fmt.Errorf("core: schema %s: %w", incoming.Name, err)
-	}
 
 	type pair struct {
 		group, cand int
@@ -147,10 +148,7 @@ func MatchBatch(ctx context.Context, mctx *match.Context, incoming *schema.Schem
 		if bounds != nil && len(bounds[gi]) != len(g) {
 			return nil, PruneStats{}, nil, fmt.Errorf("core: group %d has %d bounds for %d candidates", gi, len(bounds[gi]), len(g))
 		}
-		for ci, c := range g {
-			if err := c.Validate(); err != nil {
-				return nil, PruneStats{}, nil, fmt.Errorf("core: group %d candidate %d (%s): %w", gi, ci, c.Name, err)
-			}
+		for ci := range g {
 			b := math.Inf(1)
 			if bounds != nil {
 				b = bounds[gi][ci]
@@ -201,28 +199,9 @@ func MatchBatch(ctx context.Context, mctx *match.Context, incoming *schema.Schem
 		bctx = bctx.WithWorkers(cfg.Workers)
 	}
 	bctx = bctx.WithWorkerBudget().WithCancel(ctx)
-	// Analyzer batch window: while it is open, a DELETE racing this
-	// batch tombstones its schema, so a pair still in flight cannot
-	// re-publish the deleted analysis; closing the window reclaims the
-	// tombstones once no concurrent batch predates them.
-	end := bctx.BeginAnalysis()
-	defer end()
-	// Cache lifecycle: the incoming schema of a batch is usually
-	// request-scoped (a served inline schema); without eviction every
-	// batch leaks one analyzer entry, at request rate in a long-running
-	// server. Stored schemas are pinned and keep their analyses warm.
-	// Deferred after the window opens, so it runs before it closes.
-	defer bctx.EvictTransient(incoming)
-	idx1 := bctx.Index(incoming)
-	// A retained incoming schema (pinned = stored) draws on the
-	// engine-scoped persistent column cache, so a later batch — or a
-	// repeated single match — with the same incoming finds its columns
-	// warm. A transient incoming keeps a per-batch cache: its index is
-	// evicted above, and persisting columns keyed by a dying index would
-	// just re-create the leak one layer up.
 	var cache *match.BatchCache
-	if cc := bctx.Columns; cc != nil && bctx.Pinned(incoming) {
-		cache = cc.ForIncoming(idx1)
+	if cc := bctx.Columns; cc != nil {
+		cache = cc.ForIncoming(incoming)
 	} else {
 		cache = match.NewBatchCache()
 	}
@@ -263,7 +242,7 @@ func MatchBatch(ctx context.Context, mctx *match.Context, incoming *schema.Schem
 					continue
 				}
 			}
-			res, err := matchPair(bctx, idx1, incoming, groups[p.group][p.cand], cfg, arena, cache, opt.KeepCubes)
+			res, err := matchPair(bctx, incoming, groups[p.group][p.cand], cfg, arena, cache, opt.KeepCubes)
 			if err != nil {
 				if opt.AllowPartial && ctx.Err() == nil {
 					errs.failGroup(p.group, err)
@@ -390,11 +369,11 @@ func runPairWorkers(budget *match.Context, pairs int, work func()) {
 // the batch arena at cube→mapping extraction. Aggregated matrices and
 // mappings are always arena-free, so a returned Result never aliases
 // pooled storage.
-func matchPair(ctx *match.Context, idx1 *analysis.SchemaIndex, s1, s2 *schema.Schema, cfg Config, arena *simcube.Arena, cache *match.BatchCache, keepCube bool) (*Result, error) {
+func matchPair(ctx *match.Context, idx1, idx2 *analysis.SchemaIndex, cfg Config, arena *simcube.Arena, cache *match.BatchCache, keepCube bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	idx2 := ctx.Index(s2)
+	s1, s2 := idx1.Schema, idx2.Schema
 	pctx := ctx.WithIndexes(idx1, idx2).WithArena(arena).WithBatchCache(cache)
 	cube := simcube.NewCube(idx1.Keys, idx2.Keys)
 	for _, m := range cfg.Matchers {

@@ -14,7 +14,7 @@ import (
 // matchAll is the single-group batch: MatchBatch over one candidate
 // list without bounds.
 func matchAll(ctx context.Context, mctx *match.Context, incoming *schema.Schema, cands []*schema.Schema, cfg Config, opt BatchOptions) ([]*Result, error) {
-	groups, _, _, err := MatchBatch(ctx, mctx, incoming, [][]*schema.Schema{cands}, nil, cfg, opt)
+	groups, _, _, err := matchGroups(ctx, mctx, incoming, [][]*schema.Schema{cands}, nil, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +241,7 @@ func TestMatchBatchBounds(t *testing.T) {
 		{"nil/topk", 2, nil},
 		{"inf/topk", 2, infBounds()},
 	} {
-		got, stats, _, err := MatchBatch(ctx, match.NewContext(), incoming, groups, tc.bounds, cfg, BatchOptions{TopK: tc.topK})
+		got, stats, _, err := matchGroups(ctx, match.NewContext(), incoming, groups, tc.bounds, cfg, BatchOptions{TopK: tc.topK})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -273,15 +273,15 @@ func TestMatchBatchBounds(t *testing.T) {
 		}
 	}
 
-	if _, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, groups, infBounds(), cfg, BatchOptions{}); err == nil {
+	if _, _, _, err := matchGroups(ctx, match.NewContext(), incoming, groups, infBounds(), cfg, BatchOptions{}); err == nil {
 		t.Error("bounds without TopK accepted")
 	}
 	short := infBounds()
 	short[1] = short[1][1:]
-	if _, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, groups, short, cfg, BatchOptions{TopK: 2}); err == nil {
+	if _, _, _, err := matchGroups(ctx, match.NewContext(), incoming, groups, short, cfg, BatchOptions{TopK: 2}); err == nil {
 		t.Error("bounds shorter than their candidate group accepted")
 	}
-	if _, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, groups, infBounds()[:2], cfg, BatchOptions{TopK: 2}); err == nil {
+	if _, _, _, err := matchGroups(ctx, match.NewContext(), incoming, groups, infBounds()[:2], cfg, BatchOptions{TopK: 2}); err == nil {
 		t.Error("fewer bound groups than candidate groups accepted")
 	}
 }

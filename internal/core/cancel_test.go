@@ -56,7 +56,7 @@ func TestMatchAllCanceledMidBatch(t *testing.T) {
 		cfg.Workers = workers
 		cfg.Matchers = append([]match.Matcher{}, cfg.Matchers...)
 		cfg.Matchers[0] = &cancelingMatcher{Matcher: cfg.Matchers[0], cancel: cancel}
-		results, _, _, err := MatchBatch(cctx, match.NewContext(), incoming, [][]*schema.Schema{cands}, nil, cfg, BatchOptions{})
+		results, _, _, err := matchGroups(cctx, match.NewContext(), incoming, [][]*schema.Schema{cands}, nil, cfg, BatchOptions{})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -100,7 +100,7 @@ func TestMatchCanceledCause(t *testing.T) {
 	all := workload.Candidates(2)
 	cctx, cancel := context.WithCancelCause(context.Background())
 	cancel(context.DeadlineExceeded)
-	_, _, _, err := MatchBatch(cctx, match.NewContext(), all[0], [][]*schema.Schema{all[1:]}, nil, DefaultConfig(), BatchOptions{})
+	_, _, _, err := matchGroups(cctx, match.NewContext(), all[0], [][]*schema.Schema{all[1:]}, nil, DefaultConfig(), BatchOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded cause", err)
 	}
@@ -130,11 +130,11 @@ func TestMatchShardedPartial(t *testing.T) {
 	faulty.Matchers[2] = faultyMatcher{Matcher: cfg.Matchers[2], failFor: bad}
 
 	// Without AllowPartial the injected fault aborts the whole batch.
-	if _, _, _, err := MatchBatch(context.Background(), match.NewContext(), incoming, groupsOf(cands, 2), nil, faulty, BatchOptions{}); err == nil {
+	if _, _, _, err := matchGroups(context.Background(), match.NewContext(), incoming, groupsOf(cands, 2), nil, faulty, BatchOptions{}); err == nil {
 		t.Fatal("injected fault did not fail the strict batch")
 	}
 
-	results, _, shardErrs, err := MatchBatch(context.Background(), match.NewContext(), incoming, groupsOf(cands, 2), nil, faulty, BatchOptions{AllowPartial: true})
+	results, _, shardErrs, err := matchGroups(context.Background(), match.NewContext(), incoming, groupsOf(cands, 2), nil, faulty, BatchOptions{AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestMatchShardedPartialShardCancel(t *testing.T) {
 	dead, stop := context.WithCancel(context.Background())
 	stop()
 	for _, bounds := range [][][]float64{nil, inf} {
-		if _, _, _, err := MatchBatch(dead, match.NewContext(), incoming, groups, bounds, cfg, BatchOptions{TopK: 2, AllowPartial: true}); !errors.Is(err, context.Canceled) {
+		if _, _, _, err := matchGroups(dead, match.NewContext(), incoming, groups, bounds, cfg, BatchOptions{TopK: 2, AllowPartial: true}); !errors.Is(err, context.Canceled) {
 			t.Errorf("bounded=%v: canceled request degraded to partial: err = %v", bounds != nil, err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestMatchShardedPartialShardCancel(t *testing.T) {
 	canceling := cfg
 	canceling.Matchers = append([]match.Matcher{}, cfg.Matchers...)
 	canceling.Matchers[0] = &cancelingMatcher{Matcher: cfg.Matchers[0], cancel: cancel}
-	results, _, shardErrs, err := MatchBatch(cctx, match.NewContext(), incoming, groups, nil, canceling, BatchOptions{AllowPartial: true})
+	results, _, shardErrs, err := matchGroups(cctx, match.NewContext(), incoming, groups, nil, canceling, BatchOptions{AllowPartial: true})
 	if !errors.Is(err, context.Canceled) || results != nil || shardErrs != nil {
 		t.Errorf("mid-batch cancel under AllowPartial: results=%v shardErrs=%v err=%v", results != nil, shardErrs, err)
 	}

@@ -93,25 +93,17 @@ func ExecuteMatchers(ctx *match.Context, s1, s2 *schema.Schema, matchers []match
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Open an analyzer batch window for the duration of the execution:
-	// a schema deletion racing this match tombstones its entry, so the
-	// builds below cannot re-publish a deleted schema's analysis.
-	end := ctx.BeginAnalysis()
-	defer end()
 	// Analyze once, before any concurrent access: the indexes capture
 	// the schemas' lazily cached path enumerations and every derived
 	// per-element artifact.
 	idx1, idx2 := ctx.Index(s1), ctx.Index(s2)
 	ctx = ctx.WithIndexes(idx1, idx2)
-	if ctx.Columns != nil && ctx.Pinned(s1) {
+	if ctx.Columns != nil {
 		// Engine-scoped column reuse for the single-pair path: repeated
-		// matches of one retained incoming schema against changing
-		// partners share scored distinct-name columns exactly like the
-		// pairs of one batch do (same purity argument — the incoming
-		// index freezes names and source versions). Transient schemas
-		// are excluded for the same reason MatchBatch excludes them:
-		// persisting columns keyed by a short-lived index would retain
-		// dead indexes until LRU turnover.
+		// matches of one incoming schema against changing partners share
+		// scored distinct-name columns exactly like the pairs of one
+		// batch do (same purity argument — the incoming index freezes
+		// names and source versions).
 		ctx = ctx.WithBatchCache(ctx.Columns.ForIncoming(idx1))
 	}
 	cube := simcube.NewCube(idx1.Keys, idx2.Keys)
@@ -144,9 +136,9 @@ func ExecuteMatchers(ctx *match.Context, s1, s2 *schema.Schema, matchers []match
 	}
 	if err := ctx.Err(); err != nil {
 		// Canceled mid-execution: the fills stopped claiming rows, so
-		// the layers are partial. Recycle them (and nothing else —
-		// analyses cached above stay subject to the normal eviction
-		// discipline) and surface the cause.
+		// the layers are partial. Recycle them (and nothing else — the
+		// analyses above are the context's to keep) and surface the
+		// cause.
 		for _, l := range layers {
 			l.ReleaseTo(ctx.Arena())
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/match"
 	"repro/internal/schema"
 	"repro/internal/workload"
@@ -17,6 +18,20 @@ func groupsOf(candidates []*schema.Schema, n int) [][]*schema.Schema {
 		groups[i%n] = append(groups[i%n], c)
 	}
 	return groups
+}
+
+// matchGroups is MatchBatch over schemas: it analyzes the incoming
+// schema and every candidate through mctx (a nil mctx builds throwaway
+// analyses, like the zero-value context MatchBatch then runs on) and
+// passes the indexes.
+func matchGroups(ctx context.Context, mctx *match.Context, incoming *schema.Schema, groups [][]*schema.Schema, bounds [][]float64, cfg Config, opt BatchOptions) ([][]*Result, PruneStats, []ShardError, error) {
+	idx := make([][]*analysis.SchemaIndex, len(groups))
+	for gi, g := range groups {
+		for _, c := range g {
+			idx[gi] = append(idx[gi], mctx.Index(c))
+		}
+	}
+	return MatchBatch(ctx, mctx, mctx.Index(incoming), idx, bounds, cfg, opt)
 }
 
 // TestMatchShardedGolden pins MatchBatch over candidate groups
@@ -42,7 +57,7 @@ func TestMatchShardedGolden(t *testing.T) {
 			cfg := cfg
 			cfg.Workers = workers
 			shards := groupsOf(candidates, nShards)
-			got, _, shardErrs, err := MatchBatch(context.Background(), match.NewContext(), incoming, shards, nil, cfg, BatchOptions{})
+			got, _, shardErrs, err := matchGroups(context.Background(), match.NewContext(), incoming, shards, nil, cfg, BatchOptions{})
 			if len(shardErrs) != 0 {
 				t.Fatalf("unexpected shard errors: %v", shardErrs)
 			}
@@ -82,7 +97,7 @@ func TestMatchShardedTopK(t *testing.T) {
 	all := workload.Candidates(9)
 	incoming, candidates := all[0], all[1:]
 	cfg := DefaultConfig()
-	got, _, _, err := MatchBatch(context.Background(), match.NewContext(), incoming, groupsOf(candidates, 2), nil, cfg, BatchOptions{TopK: 2})
+	got, _, _, err := matchGroups(context.Background(), match.NewContext(), incoming, groupsOf(candidates, 2), nil, cfg, BatchOptions{TopK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,31 +121,31 @@ func TestMatchShardedEdgeCases(t *testing.T) {
 	cfg := DefaultConfig()
 	ctx := context.Background()
 
-	res, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, nil, nil, cfg, BatchOptions{})
+	res, _, _, err := matchGroups(ctx, match.NewContext(), incoming, nil, nil, cfg, BatchOptions{})
 	if err != nil || len(res) != 0 {
 		t.Errorf("no groups: res=%v err=%v", res, err)
 	}
-	res, _, _, err = MatchBatch(ctx, match.NewContext(), incoming, [][]*schema.Schema{nil}, nil, cfg, BatchOptions{})
+	res, _, _, err = matchGroups(ctx, match.NewContext(), incoming, [][]*schema.Schema{nil}, nil, cfg, BatchOptions{})
 	if err != nil || len(res) != 1 || len(res[0]) != 0 {
 		t.Errorf("empty group: res=%v err=%v", res, err)
 	}
 	// A nil match context runs on a zero-value one (throwaway
 	// analyses), exactly like Match.
-	res, _, _, err = MatchBatch(ctx, nil, incoming, [][]*schema.Schema{all[1:]}, nil, cfg, BatchOptions{})
+	res, _, _, err = matchGroups(ctx, nil, incoming, [][]*schema.Schema{all[1:]}, nil, cfg, BatchOptions{})
 	if err != nil || len(res) != 1 || len(res[0]) != 1 || res[0][0] == nil {
 		t.Errorf("nil match context: res=%v err=%v", res, err)
 	}
-	if _, _, _, err := MatchBatch(ctx, match.NewContext(), incoming, nil, nil, Config{}, BatchOptions{}); err == nil {
+	if _, _, _, err := matchGroups(ctx, match.NewContext(), incoming, nil, nil, Config{}, BatchOptions{}); err == nil {
 		t.Error("empty matcher set accepted")
 	}
 	// A nil request context is accepted (treated as Background).
-	if _, _, _, err := MatchBatch(nil, match.NewContext(), incoming, nil, nil, cfg, BatchOptions{}); err != nil {
+	if _, _, _, err := matchGroups(nil, match.NewContext(), incoming, nil, nil, cfg, BatchOptions{}); err != nil {
 		t.Errorf("nil request context: %v", err)
 	}
 	// A pre-canceled request context fails fast with its cause.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, _, err := MatchBatch(cctx, match.NewContext(), incoming, groupsOf(all[1:], 1), nil, cfg, BatchOptions{}); err == nil {
+	if _, _, _, err := matchGroups(cctx, match.NewContext(), incoming, groupsOf(all[1:], 1), nil, cfg, BatchOptions{}); err == nil {
 		t.Error("pre-canceled context accepted")
 	}
 }

@@ -57,9 +57,10 @@ type Context struct {
 	Analyzer *analysis.Analyzer
 	// Columns, when set, is the engine-scoped persistent column cache:
 	// distinct-name similarity columns survive across batches and
-	// repeated single matches whose incoming schema's index is
-	// retained by the Analyzer. Nil (the default) keeps column reuse
-	// per batch only.
+	// repeated single matches on the same incoming index. The batch
+	// scheduler and the single-match path persist columns exactly when
+	// it is set, so a caller matching a short-lived incoming schema
+	// clears it. Nil (the default) keeps column reuse per batch only.
 	Columns *ColumnCache
 	// idx1, idx2 are the indexes of the current match's two schemas,
 	// installed by the engine (WithIndexes) so every matcher of one
@@ -353,38 +354,6 @@ func (c *Context) stopped() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// BeginAnalysis opens an analyzer batch window (Analyzer.BeginBatch)
-// for the duration of one match operation and returns its closer.
-// While any window is open, deletions tombstone their schema instead
-// of merely dropping it, so an in-flight build publishing after the
-// delete cannot resurrect the analysis. A no-op closure is returned
-// when the context carries no analyzer.
-func (c *Context) BeginAnalysis() func() {
-	if c == nil || c.Analyzer == nil {
-		return func() {}
-	}
-	return c.Analyzer.BeginBatch()
-}
-
-// Pinned reports whether the schema is pinned in the context's
-// analyzer — the engine's marker for stored (long-lived) schemas. It
-// is how the batch scheduler distinguishes a retained incoming schema
-// (keep its analysis and persist its columns) from a request-scoped
-// one (evict at batch end).
-func (c *Context) Pinned(s *schema.Schema) bool {
-	return c != nil && c.Analyzer != nil && c.Analyzer.Pinned(s)
-}
-
-// EvictTransient drops the schema's cached analysis unless it is
-// pinned; a no-op without an analyzer. The batch schedulers call it
-// for the incoming schema at batch end so served inline schemas do
-// not leak one analyzer entry per request.
-func (c *Context) EvictTransient(s *schema.Schema) {
-	if c != nil && c.Analyzer != nil {
-		c.Analyzer.Evict(s)
 	}
 }
 

@@ -155,8 +155,10 @@ type Schema struct {
 	// Root is the synthetic root node representing the schema.
 	Root *Node
 
-	// paths caches the enumeration; invalidated by Invalidate.
-	paths []Path
+	// paths caches the enumeration; invalidated by Invalidate. Atomic
+	// so concurrent first uses (two requests analyzing one uncached
+	// schema) race-free agree on an enumeration.
+	paths atomic.Pointer[[]Path]
 	// version counts Invalidate calls: every structural mutation is
 	// (per the Invalidate contract) followed by one, so consumers
 	// caching schema-derived state (analysis.SchemaIndex) compare the
@@ -181,7 +183,7 @@ func New(name string) *Schema {
 // changes) that leave the path count intact: the version bump is what
 // lets index caches detect such edits reliably.
 func (s *Schema) Invalidate() {
-	s.paths = nil
+	s.paths.Store(nil)
 	s.version.Add(1)
 }
 
@@ -195,8 +197,8 @@ func (s *Schema) Version() int64 { return s.version.Load() }
 // containment links, excluding the bare root itself. Shared fragments
 // yield one path per containment chain. The result is cached.
 func (s *Schema) Paths() []Path {
-	if s.paths != nil {
-		return s.paths
+	if p := s.paths.Load(); p != nil {
+		return *p
 	}
 	var out []Path
 	var walk func(prefix []*Node, n *Node)
@@ -212,7 +214,9 @@ func (s *Schema) Paths() []Path {
 	for _, c := range s.Root.children {
 		walk(nil, c)
 	}
-	s.paths = out
+	// A concurrent first call may have stored its own enumeration
+	// first; both are equal, so either serves.
+	s.paths.CompareAndSwap(nil, &out)
 	return out
 }
 

@@ -31,8 +31,7 @@
 // under the request's context, bounded by Config.MatchTimeout when
 // set: a canceled or timed-out request stops the pipeline
 // cooperatively (pair and row claims stop, pooled matrices are
-// recycled, transient analyses evicted) instead of burning workers for
-// a caller that is gone.
+// recycled) instead of burning workers for a caller that is gone.
 package server
 
 import (
@@ -521,8 +520,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// The match runs under the request context — a disconnecting
 	// client cancels it — tightened by the per-request deadline when
 	// configured. The pipeline stops cooperatively either way: workers
-	// stop claiming pairs and rows, pooled matrices are recycled, and
-	// transient analyses are evicted.
+	// stop claiming pairs and rows, and pooled matrices are recycled.
 	mctx := r.Context()
 	if s.matchTimeout > 0 {
 		var cancel context.CancelFunc

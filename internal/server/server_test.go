@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/match"
@@ -78,13 +79,15 @@ func (b *testBackend) WarmStart() (server.WarmStartStatus, bool) {
 func (b *testBackend) MatchIncoming(ctx context.Context, incoming *schema.Schema, topK int, allowPartial, exhaustive bool) ([]server.Match, []server.ShardFailure, error) {
 	stored := b.Schemas()
 	candidates := stored[:0:0]
+	var cands []*analysis.SchemaIndex
 	for _, s := range stored {
 		if s.Name != incoming.Name {
 			candidates = append(candidates, s)
+			cands = append(cands, b.ctx.Index(s))
 		}
 	}
 	opt := core.BatchOptions{TopK: topK}
-	groups, _, _, err := core.MatchBatch(ctx, b.ctx, incoming, [][]*schema.Schema{candidates}, nil, b.cfg, opt)
+	groups, _, _, err := core.MatchBatch(ctx, b.ctx, b.ctx.Index(incoming), [][]*analysis.SchemaIndex{cands}, nil, b.cfg, opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -107,3 +107,53 @@ type errMismatch string
 func (e errMismatch) Error() string {
 	return "concurrent MatchAll diverged from sequential baseline on " + string(e)
 }
+
+// TestMatchAllConcurrentUncachedIncoming runs concurrent MatchAll
+// batches whose shared incoming schema the engine does not cache and
+// nothing has enumerated yet: each batch analyzes it for itself, so
+// the schema's lazy path enumeration is reached from several
+// goroutines at once. Run with -race it proves that first use is
+// synchronized; every batch must still equal the sequential baseline.
+func TestMatchAllConcurrentUncachedIncoming(t *testing.T) {
+	fresh := func() ([]*coma.Schema, *coma.Schema) {
+		all := workload.Candidates(4)
+		return all[1:], all[0]
+	}
+	cands, incoming := fresh()
+	base, err := coma.NewEngine(coma.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := base.MatchAll(incoming, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	engine, err := coma.NewEngine(coma.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, incoming = fresh() // never enumerated
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := engine.MatchAll(incoming, cands)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, res := range got {
+				if res.SchemaSim != want[i].SchemaSim {
+					t.Error(errMismatch(cands[i].Name))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := engine.CachedAnalyses(); got != len(cands) {
+		t.Errorf("engine caches %d analyses, want %d (the candidates only)", got, len(cands))
+	}
+}

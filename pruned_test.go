@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	coma "repro"
+	"repro/internal/schema"
 	"repro/internal/workload"
 )
 
@@ -278,5 +281,109 @@ func TestPrunedServedChurn(t *testing.T) {
 	}
 	if ready.CandidateIndex.Schemas == 0 || ready.CandidateIndex.Postings == 0 {
 		t.Errorf("index readiness %+v, want nonzero schemas and postings", *ready.CandidateIndex)
+	}
+}
+
+// TestPrunedMatchCyclicIncoming: a schema with a containment cycle
+// (Order → Item → Order) is rejected by validation before anything
+// analyzes it — enumerating its paths would never end. The pruned
+// store path, the exhaustive one, MatchAll on either side and a put
+// all return the validation error promptly.
+func TestPrunedMatchCyclicIncoming(t *testing.T) {
+	cyclic := schema.New("Cyclic")
+	order, item := schema.NewNode("Order"), schema.NewNode("Item")
+	cyclic.Root.AddChild(order)
+	order.AddChild(item)
+	item.AddChild(order)
+
+	repo := openShardedRepo(t, 2, workload.Candidates(4), coma.WithCandidateIndex())
+	engine, err := coma.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := workload.Candidates(2)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"pruned", func() error { _, err := repo.MatchIncoming(cyclic, coma.TopK(2)); return err }},
+		{"exhaustive", func() error { _, err := repo.MatchIncoming(cyclic); return err }},
+		{"matchall-incoming", func() error { _, err := engine.MatchAll(cyclic, ok); return err }},
+		{"matchall-candidate", func() error { _, err := engine.MatchAll(ok[0], []*coma.Schema{ok[1], cyclic}); return err }},
+		{"put", func() error { return repo.PutSchema(cyclic) }},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- tc.run() }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), `containment cycle through "Order"`) {
+				t.Errorf("%s: err = %v, want the containment-cycle validation error", tc.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no answer within 10s (analyzing the cyclic schema?)", tc.name)
+		}
+	}
+	if got := len(repo.SchemaNames()); got != 4 {
+		t.Errorf("%d schemas stored after the rejected put, want 4", got)
+	}
+}
+
+// TestServedPutDeleteRaceIndexConsistent: concurrent PUT and DELETE of
+// one name must leave the candidate index, the analyzer and the store
+// agreeing on the stored set. The store adds a schema's analysis and
+// postings before publishing it and drops them after unpublishing it,
+// so a DELETE can never unindex a schema before its PUT indexed it.
+func TestServedPutDeleteRaceIndexConsistent(t *testing.T) {
+	// Per-append fsync (the default) widens each PUT's window between
+	// publishing and returning, which is where an index maintained
+	// after publishing lost the race.
+	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), "race"), 2, coma.WithCandidateIndex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { repo.Close() })
+	ts := httptest.NewServer(repo.Handler())
+	t.Cleanup(ts.Close)
+	client := coma.NewClient(ts.URL)
+	ctx := context.Background()
+
+	rounds := 300
+	if testing.Short() {
+		rounds = 60
+	}
+	for r := 0; r < rounds; r++ {
+		name := fmt.Sprintf("R%d", r)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := client.PutSchema(ctx, name, "sql", tinyDDL(r)); err != nil {
+				t.Errorf("put %s: %v", name, err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			// A DELETE that lands before its PUT answers 404.
+			if err := client.DeleteSchema(ctx, name); err != nil && !strings.Contains(err.Error(), "HTTP 404") {
+				t.Errorf("delete %s: %v", name, err)
+			}
+		}()
+		wg.Wait()
+	}
+	requireStoreAnalyses(t, repo)
+}
+
+// requireStoreAnalyses fails unless the store's engine caches exactly
+// one analysis and the candidate index exactly one posting set per
+// stored schema.
+func requireStoreAnalyses(t *testing.T, repo *coma.ShardedRepository) {
+	t.Helper()
+	stored := len(repo.SchemaNames())
+	st, ok := repo.Engine().CandidateIndexStats()
+	if !ok {
+		t.Fatal("store has no candidate index")
+	}
+	if got := repo.Engine().CachedAnalyses(); st.Schemas != stored || got != stored {
+		t.Errorf("%d stored schemas, %d indexed, %d cached analyses; want all equal", stored, st.Schemas, got)
 	}
 }

@@ -1,12 +1,12 @@
 package coma
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/analysis"
 	"repro/internal/candidates"
 	"repro/internal/core"
 	"repro/internal/schema"
@@ -45,11 +45,11 @@ type CandidateIndexStats = candidates.Stats
 
 // WithCandidateIndex equips the engine with a candidate-pruning index:
 // an inverted index over the stored schemas' name tokens, dictionary
-// term ids and generic type classes, maintained incrementally as the
-// served repository stores and deletes schemas (never rebuilt from
-// scratch) and filled lazily for schemas stored before the option took
-// effect. Repository.MatchIncoming and its sharded form then prune
-// TopK batches through it — skipping every candidate whose upper bound
+// term ids and generic type classes, maintained incrementally as a
+// ShardedRepository stores and deletes schemas (never rebuilt from
+// scratch) and filled lazily for candidates nobody indexed, such as a
+// Repository's stored schemas. Repository.MatchIncoming and its
+// sharded form then prune TopK batches through it — skipping every candidate whose upper bound
 // cannot reach the running k-th best real score — with results
 // bit-identical to the exhaustive scan. Matches that cannot be safely
 // bounded (custom matchers, feedback, no TopK, Exhaustive) run
@@ -104,33 +104,46 @@ func (e *Engine) pruneSpec(o *matchAllOptions) *candidates.Spec {
 }
 
 // candidateBounds computes one admissible upper bound per candidate
-// from the engine's index, one slice per group, opportunistically
-// (re)indexing stale or not-yet-indexed candidates first — analyses
-// come from the engine's cache, so a freshly indexed candidate pays
-// nothing the full match would not have paid anyway. The index is
-// consulted once over every group's candidates (Bounds walks every
-// posting of the probe's keys, so a call per group would repeat that
-// walk), and MaxCandidates cuts across all groups: the merged ranking
-// is what the cap is about, not any one shard's.
-func (e *Engine) candidateBounds(ctx context.Context, spec *candidates.Spec, incoming *Schema, groups [][]*Schema, maxCandidates int) ([][]float64, error) {
-	var all []*Schema
+// from the engine's candidate index, one slice per group. Candidates
+// whose posting is missing or stale are posted from their batch
+// analysis first: added when they come from a caller's list, which
+// nobody else indexes, but only refreshed when they are a store's own
+// schemas, which the store indexes and unindexes itself — so a
+// snapshot candidate deleted meanwhile cannot re-enter the index. The
+// index is consulted once over every group's candidates (Bounds walks
+// every posting of the probe's keys, so a call per group would repeat
+// that walk), and MaxCandidates cuts across all groups: the merged
+// ranking is what the cap is about, not any one shard's.
+func (e *Engine) candidateBounds(spec *candidates.Spec, in *analysis.SchemaIndex, groups [][]*analysis.SchemaIndex, maxCandidates int, stored bool) [][]float64 {
+	var xs []*analysis.SchemaIndex
 	for _, g := range groups {
-		all = append(all, g...)
+		xs = append(xs, g...)
 	}
-	idx, mctx := e.o.candIdx, e.o.ctx
-	for _, s := range idx.Stale(all, mctx.Sources()) {
-		if ctx.Err() != nil {
-			return nil, context.Cause(ctx)
+	all := make([]*schema.Schema, len(xs))
+	for i, x := range xs {
+		all[i] = x.Schema
+	}
+	ci := e.o.candIdx
+	if stale := ci.Stale(all, e.o.ctx.Sources()); len(stale) > 0 {
+		of := make(map[*schema.Schema]*analysis.SchemaIndex, len(xs))
+		for _, x := range xs {
+			of[x.Schema] = x
 		}
-		idx.Add(s, mctx.Index(s))
+		for _, s := range stale {
+			if stored {
+				ci.Refresh(s, of[s])
+			} else {
+				ci.Add(s, of[s])
+			}
+		}
 	}
-	flat := idx.Bounds(candidates.NewProbe(spec, mctx.Index(incoming)), all)
+	flat := ci.Bounds(candidates.NewProbe(spec, in), all)
 	limitBounds(flat, maxCandidates)
 	bounds := make([][]float64, len(groups))
 	for i, g := range groups {
 		bounds[i], flat = flat[:len(g):len(g)], flat[len(g):]
 	}
-	return bounds, nil
+	return bounds
 }
 
 // limitBounds applies MaxCandidates: every bound outside the m highest
@@ -149,29 +162,6 @@ func limitBounds(bounds []float64, m int) {
 	for _, i := range order[m:] {
 		bounds[i] = math.Inf(-1)
 	}
-}
-
-// indexStored adds one stored schema to the engine's candidate index
-// (replacing a previous entry for the same instance). No-op without
-// WithCandidateIndex. The caller is expected to have pinned the schema
-// — the served backend does — so the analysis built here stays cached
-// for the matches that follow.
-func (e *Engine) indexStored(s *schema.Schema) {
-	if e.o.candIdx != nil {
-		e.o.candIdx.Add(s, e.o.ctx.Index(s))
-	}
-}
-
-// dropStored retires a schema instance the store no longer holds: it
-// leaves the candidate index, loses its pin, and its cached analysis
-// and persistent columns are invalidated, so a long-running server
-// does not accumulate dead analyses across re-imports and deletes.
-func (e *Engine) dropStored(s *schema.Schema) {
-	if e.o.candIdx != nil {
-		e.o.candIdx.Remove(s)
-	}
-	e.Release(s)
-	e.Invalidate(s)
 }
 
 // CandidateIndexStats reports the engine's candidate index segment

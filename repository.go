@@ -143,51 +143,45 @@ type IncomingMatch struct {
 // most similar known schemas and their mappings. Candidates sharing
 // the incoming schema's name are skipped. Outcomes are ordered by
 // descending combined schema similarity (name breaking ties); with
-// TopK(n) only the n best survive.
+// TopK(n) only the n best survive. The repository owns no engine, so
+// the stored schemas' analyses are cached in e as MatchAll caches its
+// candidates.
 func (r *Repository) MatchIncoming(e *Engine, incoming *Schema, opts ...MatchAllOption) ([]IncomingMatch, error) {
 	return r.MatchIncomingContext(context.Background(), e, incoming, opts...)
 }
 
 // MatchIncomingContext is MatchIncoming under a request context: a
 // done ctx stops the batch cooperatively (pair and row claims stop,
-// pooled matrices are recycled, transient analyses evicted) and
-// returns the cancellation cause. A never-canceled ctx yields results
-// bit-identical to MatchIncoming.
+// pooled matrices are recycled) and returns the cancellation cause. A
+// never-canceled ctx yields results bit-identical to MatchIncoming.
 func (r *Repository) MatchIncomingContext(ctx context.Context, e *Engine, incoming *Schema, opts ...MatchAllOption) ([]IncomingMatch, error) {
 	o, err := buildMatchAllOptions(opts)
 	if err != nil {
 		return nil, err
 	}
 	o.allowPartial = false // one store, no shard to degrade
-	out, _, err := e.matchIncoming(ctx, incoming, o, &r.pruneLog, func() [][]*Schema {
-		return [][]*Schema{r.Schemas()}
-	})
+	out, _, err := e.matchIncoming(ctx, incoming, o, &r.pruneLog, [][]*Schema{r.Schemas()}, false)
 	return out, err
 }
 
 // matchIncoming is the one MatchIncoming path of both repository
-// types; snapshot lists the stored schemas, one group per storage
-// shard. The engine's analyzer window opens BEFORE the snapshot: a
-// DELETE completing in the gap between snapshot and the scheduler's
-// own window would lay no tombstone, and this batch could re-publish
-// the deleted schema's analysis. Candidates sharing the incoming
-// schema's name are dropped, a pruned batch's statistics go to
-// prunes, and the groups merge into one ranking — descending combined
-// schema similarity, name breaking ties — cut to TopK.
-func (e *Engine) matchIncoming(ctx context.Context, incoming *Schema, o *matchAllOptions, prunes *pruneLog, snapshot func() [][]*Schema) ([]IncomingMatch, []ShardError, error) {
-	end := e.o.ctx.BeginAnalysis()
-	defer end()
-	groups := snapshot()
-	for i, stored := range groups {
-		cands := stored[:0:0]
-		for _, s := range stored {
+// types; groups lists the stored schemas, one group per storage shard,
+// and stored says whether e is the store's own engine (see
+// matchBatch). Candidates sharing the incoming schema's name are
+// dropped, a pruned batch's statistics go to prunes, and the groups
+// merge into one ranking — descending combined schema similarity, name
+// breaking ties — cut to TopK.
+func (e *Engine) matchIncoming(ctx context.Context, incoming *Schema, o *matchAllOptions, prunes *pruneLog, groups [][]*Schema, stored bool) ([]IncomingMatch, []ShardError, error) {
+	for i, cands := range groups {
+		kept := cands[:0:0]
+		for _, s := range cands {
 			if s.Name != incoming.Name {
-				cands = append(cands, s)
+				kept = append(kept, s)
 			}
 		}
-		groups[i] = cands
+		groups[i] = kept
 	}
-	results, stats, groupErrs, err := e.matchBatch(ctx, incoming, groups, o)
+	results, stats, groupErrs, err := e.matchBatch(ctx, incoming, groups, o, stored)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -96,23 +96,13 @@ type ServerMetrics = server.ServerMetrics
 // http.Handler; keep a reference to call Drain before graceful
 // shutdown (flips /readyz to 503 and sheds new matches while in-flight
 // ones finish). In-flight match requests are bounded by the engine's
-// worker count. Every stored schema is pinned in the engine's analysis
-// cache, so stored analyses stay warm across requests while inline
-// incoming schemas' analyses are evicted at batch end. Schemas added
-// later through the HTTP API are pinned by the backend; schemas
-// slipped into the store directly (bypassing the handler) are served
-// correctly but stay unpinned — pin them via Engine().Pin if they will
-// be matched by name repeatedly. The mirror obligation holds for
-// removal: a schema deleted through the embedded repository API
-// instead of HTTP DELETE keeps its pin (and its cached analysis) until
-// Engine().Release — route store mutations through the served API, or
-// pair direct ones with Release+Invalidate. Match requests carrying
-// allowPartial degrade a shard with a failing candidate to a partial,
-// annotated ranking instead of a failed request.
+// worker count. PUT and DELETE go through the store's own mutators
+// (SwapSchema, TakeSchema), so served and library use keep the same
+// analyses: stored ones stay warm across requests, inline incoming
+// schemas are analyzed per request and never cached. Match requests
+// carrying allowPartial degrade a shard with a failing candidate to a
+// partial, annotated ranking instead of a failed request.
 func (r *ShardedRepository) Handler(opts ...ServeOption) *server.Server {
-	for _, s := range r.Schemas() {
-		r.engine.Pin(s)
-	}
 	cfg := server.Config{
 		Backend: &backend{repo: r},
 		Workers: r.engine.o.workers,
@@ -156,41 +146,13 @@ func (b *backend) MatchIncoming(ctx context.Context, incoming *schema.Schema, to
 }
 
 func (b *backend) PutSchema(s *schema.Schema) (bool, error) {
-	e := b.repo.engine
-	// Pin before storing: once SwapSchema publishes the instance, a
-	// concurrent match may already use it as the incoming side, and an
-	// unpinned stored schema would have its analysis evicted at that
-	// batch's end. The analysis cache is keyed by schema identity; the
-	// replaced instance is retired so a long-running server doesn't
-	// accumulate dead analyses across re-imports. SwapSchema reports
-	// that instance atomically, so concurrent imports of one name each
-	// retire exactly the instance they displaced.
-	e.Pin(s)
 	prev, err := b.repo.SwapSchema(s)
-	if err != nil {
-		e.Release(s)
-		return false, err
-	}
-	// Incremental candidate-index maintenance rides the same pin
-	// lifecycle: the new instance is indexed (its analysis stays warm —
-	// it was just pinned), the displaced one unindexed, so the index is
-	// never rebuilt from scratch on mutation.
-	e.indexStored(s)
-	if prev != nil && prev != s {
-		e.dropStored(prev)
-	}
-	return prev != nil, nil
+	return prev != nil, err
 }
 
 func (b *backend) DeleteSchema(name string) (bool, error) {
 	prev, err := b.repo.TakeSchema(name)
-	if err != nil {
-		return false, err
-	}
-	if prev != nil {
-		b.repo.engine.dropStored(prev)
-	}
-	return prev != nil, nil
+	return prev != nil, err
 }
 
 func (b *backend) GetSchema(name string) (*schema.Schema, bool) { return b.repo.GetSchema(name) }
@@ -279,26 +241,14 @@ func registerCacheMetrics(reg *metrics.Registry, an func() AnalyzerCacheStats, c
 		"Analyzer cache hits (Index calls served from a cached, valid index).",
 		func() uint64 { return an().Hits })
 	counter("coma_analyzer_cache_misses_total",
-		"Analyzer cache misses (index builds: first use, stale rebuilds, tombstoned throwaways).",
+		"Analyzer cache misses (index builds: stored schemas at put, stale rebuilds, per-request analyses of inline schemas).",
 		func() uint64 { return an().Misses })
-	counter("coma_analyzer_cache_evictions_total",
-		"Analyzer cache entries dropped by batch-end eviction or the LRU backstop.",
-		func() uint64 { return an().Evictions })
 	counter("coma_analyzer_cache_invalidations_total",
 		"Analyzer cache entries whose index was dropped by invalidation.",
 		func() uint64 { return an().Invalidations })
-	counter("coma_analyzer_cache_tombstones_total",
-		"Deletions tombstoned because a batch window was open (delete/batch races defused).",
-		func() uint64 { return an().Tombstones })
-	counter("coma_analyzer_cache_pins_total",
-		"Pin calls marking schemas long-lived.",
-		func() uint64 { return an().Pins })
 	reg.GaugeFunc("coma_analyzer_cache_entries",
 		"Schema analyses currently cached.",
 		func() float64 { return float64(an().Entries) })
-	reg.GaugeFunc("coma_analyzer_cache_pinned",
-		"Schemas currently pinned in the analyzer cache.",
-		func() float64 { return float64(an().Pinned) })
 	if _, ok := col(); !ok {
 		return
 	}

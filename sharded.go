@@ -13,10 +13,19 @@ import (
 // (hash of the schema name), each with its own lock and page pool.
 // Shards are a storage concept only: the store carries ONE match
 // Engine — one analysis cache, one persistent column cache, one
-// candidate index — so a stored schema is pinned, indexed and analyzed
-// once whichever shard holds it. MatchIncoming matches an incoming
-// schema against every shard's schemas in one batch under one worker
-// budget and returns a single merged ranking.
+// candidate index — whichever shard holds a schema. MatchIncoming
+// matches an incoming schema against every shard's schemas in one
+// batch under one worker budget and returns a single merged ranking.
+//
+// The store owns its schemas' analyses: a schema is analyzed and
+// candidate-indexed once, when PutSchema or SwapSchema stores it (or
+// when the store opens, unless the warm sidecar restored it), and its
+// analysis, candidate-index postings and persistent columns are dropped
+// when a put replaces it or DeleteSchema or TakeSchema removes it. The
+// engine's cache therefore holds exactly the stored schemas, matches
+// only read it, and a schema matched inline is analyzed per batch and
+// never cached. Schemas written through the embedded
+// repository.Sharded directly bypass this and are analyzed per match.
 //
 // Outputs are bit-identical across shard counts and to the
 // single-store Repository.MatchIncoming; golden tests pin that.
@@ -59,21 +68,99 @@ func OpenShardedRepository(dir string, shards int, opts ...Option) (*ShardedRepo
 		return nil, fmt.Errorf("coma: open sharded repository %s: %w", dir, err)
 	}
 	r := &ShardedRepository{Sharded: store, engine: engine, storage: storage}
-	// The warm sidecar (if any) seeds the engine: restored analyses and
-	// columns make the first post-restart matches hit instead of
-	// re-analyzing the store.
+	// The warm sidecar (if any) seeds the engine with restored analyses
+	// and columns; every stored schema it did not cover is analyzed now,
+	// in parallel, so matches never analyze a stored schema.
 	r.warm = restoreWarm(r.warmPath(), store, engine)
+	var cold []*Schema
+	for _, s := range store.Schemas() {
+		if engine.o.ctx.Analyzer.Peek(s) == nil && s.Validate() == nil {
+			cold = append(cold, s)
+		}
+	}
+	// Background is never done, so the loop cannot end early.
+	_ = parallelFor(context.Background(), o.workers, len(cold), func(i int) { r.analyze(cold[i]) })
 	return r, nil
 }
 
-// Engine returns the store's match engine, e.g. to front-load analysis
-// (Engine.Analyze) or read its cache statistics.
+// Engine returns the store's match engine, e.g. to read its cache
+// statistics.
 func (r *ShardedRepository) Engine() *Engine { return r.engine }
+
+// PutSchema stores a schema, replacing any stored under its name; see
+// SwapSchema.
+func (r *ShardedRepository) PutSchema(s *Schema) error {
+	_, err := r.SwapSchema(s)
+	return err
+}
+
+// SwapSchema stores a schema and returns the instance it replaced (nil
+// when the name was new), atomically with respect to other mutations
+// of the name. Before s is published it is validated, analyzed into
+// the store's engine and added to the candidate index, so a match that
+// sees s finds its analysis; after the replaced instance is
+// unpublished, its analysis, postings and columns are dropped. One
+// instance must not be stored by two calls at once.
+func (r *ShardedRepository) SwapSchema(s *Schema) (*Schema, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	r.analyze(s)
+	prev, err := r.Sharded.SwapSchema(s)
+	if err != nil {
+		if cur, ok := r.Sharded.GetSchema(s.Name); !ok || cur != s {
+			r.forget(s)
+		}
+		return nil, err
+	}
+	if prev != nil && prev != s {
+		r.forget(prev)
+	}
+	return prev, nil
+}
+
+// DeleteSchema removes a schema; see TakeSchema. Deleting a missing
+// schema is a no-op.
+func (r *ShardedRepository) DeleteSchema(name string) error {
+	_, err := r.TakeSchema(name)
+	return err
+}
+
+// TakeSchema removes a schema and returns the removed instance (nil
+// when the name was absent). After the instance is unpublished, its
+// analysis, candidate-index postings and persistent columns are
+// dropped; a match still holding it analyzes it for its batch only.
+func (r *ShardedRepository) TakeSchema(name string) (*Schema, error) {
+	prev, err := r.Sharded.TakeSchema(name)
+	if prev != nil {
+		r.forget(prev)
+	}
+	return prev, err
+}
+
+// analyze caches a schema's analysis in the store's engine and posts
+// it to the candidate index.
+func (r *ShardedRepository) analyze(s *Schema) {
+	e := r.engine
+	x := e.o.ctx.Analyzer.Index(s, e.o.ctx.Sources())
+	if ci := e.o.candIdx; ci != nil {
+		ci.Add(s, x)
+	}
+}
+
+// forget drops a schema's analysis, candidate-index postings and
+// persistent columns from the store's engine.
+func (r *ShardedRepository) forget(s *Schema) {
+	if ci := r.engine.o.candIdx; ci != nil {
+		ci.Remove(s)
+	}
+	r.engine.Release(s)
+}
 
 // MatchIncoming matches an incoming schema against every schema stored
 // in any shard — the network server's core operation. All pairs run in
-// one batch through the store's engine (stored analyses stay warm
-// across calls) and share one worker budget; outcomes are ordered by
+// one batch through the store's engine, on the stored schemas' own
+// analyses, and share one worker budget; outcomes are ordered by
 // descending combined schema similarity (name breaking ties), and
 // candidates sharing the incoming schema's name are skipped. With
 // TopK(n) only the n best survive. Results are bit-identical to the
@@ -97,11 +184,9 @@ func (r *ShardedRepository) MatchIncomingContext(ctx context.Context, incoming *
 	if err != nil {
 		return nil, nil, err
 	}
-	return r.engine.matchIncoming(ctx, incoming, o, &r.pruneLog, func() [][]*Schema {
-		groups := make([][]*Schema, r.NumShards())
-		for i := range groups {
-			groups[i] = r.ShardSchemas(i)
-		}
-		return groups
-	})
+	groups := make([][]*Schema, r.NumShards())
+	for i := range groups {
+		groups[i] = r.ShardSchemas(i)
+	}
+	return r.engine.matchIncoming(ctx, incoming, o, &r.pruneLog, groups, true)
 }

@@ -52,10 +52,6 @@ const warmMagic = "COMA.warm\x001\n"
 // warmSnapName is the sidecar file of a sharded repository directory.
 const warmSnapName = "warm.snap"
 
-// maxWarmSlice bounds decoded counts so a corrupt length cannot drive
-// an allocation by itself.
-const maxWarmSlice = 1 << 24
-
 // WarmStats reports what a warm restore found and did; /readyz and
 // comaserve's startup log surface it.
 type WarmStats struct {
@@ -217,6 +213,18 @@ func (d *warmDec) bytes(n uint64) []byte {
 
 func (d *warmDec) str() string { return string(d.bytes(d.uvarint())) }
 
+// count reads an element count and rejects one the remaining bytes
+// cannot hold at minBytes per element, so a corrupt count cannot drive
+// an allocation larger than the input.
+func (d *warmDec) count(minBytes int, what string) uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64((len(d.buf)-d.off)/minBytes) {
+		d.fail(what)
+		return 0
+	}
+	return n
+}
+
 // decodeWarm parses a sidecar file: magic, body CRC, fingerprints and
 // schema entries. Any mismatch or truncation is an error — the caller
 // discards the whole sidecar.
@@ -232,20 +240,13 @@ func decodeWarm(data []byte) (fps [3]uint64, entries []warmEntry, err error) {
 	for i := range fps {
 		fps[i] = d.u64()
 	}
-	n := d.uvarint()
-	if n > maxWarmSlice {
-		d.fail("entry count")
-	}
+	n := d.count(1, "entry count")
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		var ent warmEntry
 		ent.name = d.str()
 		ent.crc = d.u32()
 		ent.artifact = d.bytes(d.uvarint())
-		nCols := d.uvarint()
-		if nCols > maxWarmSlice {
-			d.fail("column count")
-			break
-		}
+		nCols := d.count(1, "column count")
 		for c := uint64(0); c < nCols && d.err == nil; c++ {
 			col := match.ColumnArtifact{
 				OwnerKey: d.str(),
@@ -253,11 +254,7 @@ func decodeWarm(data []byte) (fps [3]uint64, entries []warmEntry, err error) {
 				Set:      int8(d.varint()),
 				Name:     d.str(),
 			}
-			nVals := d.uvarint()
-			if nVals > maxWarmSlice {
-				d.fail("value count")
-				break
-			}
+			nVals := d.count(8, "value count") // one float each
 			col.Col = make([]float64, 0, nVals)
 			for v := uint64(0); v < nVals && d.err == nil; v++ {
 				col.Col = append(col.Col, math.Float64frombits(d.u64()))
@@ -278,13 +275,11 @@ func decodeWarm(data []byte) (fps [3]uint64, entries []warmEntry, err error) {
 // collectWarm snapshots every stored schema whose analysis the engine
 // currently caches: its analysis artifact, the CRC of its stored
 // record payload (the restore-side staleness gate) and the persistent
-// columns cached against its index. Schemas nobody analyzed yet are
-// skipped — they would warm nothing.
+// columns cached against its index. Schemas without a built analysis
+// (emptied by Invalidate, or never analyzed by a Repository's engine)
+// are skipped — they would warm nothing.
 func collectWarm(store warmStore, e *Engine) []warmEntry {
 	a := e.o.ctx.Analyzer
-	if a == nil {
-		return nil
-	}
 	var out []warmEntry
 	for _, name := range store.SchemaNames() {
 		s, ok := store.GetSchema(name)
@@ -356,9 +351,7 @@ func restoreWarm(path string, store warmStore, e *Engine) WarmStats {
 			ws.Discarded++
 			continue
 		}
-		if a := e.o.ctx.Analyzer; a != nil {
-			a.Seed(s, idx)
-		}
+		e.o.ctx.Analyzer.Seed(s, idx)
 		if cc := e.o.ctx.Columns; cc != nil {
 			ws.Columns += cc.Seed(idx, ent.cols)
 		}
