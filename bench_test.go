@@ -326,29 +326,22 @@ func BenchmarkAblationTypeNameWeights(b *testing.B) {
 // cmd/comabench.
 func BenchmarkPrunedMatchAll(b *testing.B) {
 	stored, incoming := workload.CorpusPair(208, 3)
-	repo, err := coma.OpenRepository(filepath.Join(b.TempDir(), "pruned.repo"))
+	repo, err := coma.OpenRepository(filepath.Join(b.TempDir(), "pruned.repo"), coma.WithCandidateIndex())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer repo.Close()
-	engine, err := coma.NewEngine(coma.WithCandidateIndex())
-	if err != nil {
-		b.Fatal(err)
-	}
+	// The puts analyze and index the stored schemas, so both
+	// sub-benchmarks measure the serving steady state.
 	for _, s := range stored {
 		if err := repo.PutSchema(s); err != nil {
 			b.Fatal(err)
 		}
 	}
-	// One warmup analyzes and indexes the stored schemas, so both
-	// sub-benchmarks measure the serving steady state.
-	if _, err := repo.MatchIncoming(engine, incoming, coma.TopK(10)); err != nil {
-		b.Fatal(err)
-	}
 	b.Run("pruned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := repo.MatchIncoming(engine, incoming, coma.TopK(10)); err != nil {
+			if _, err := repo.MatchIncoming(incoming, coma.TopK(10)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -356,7 +349,7 @@ func BenchmarkPrunedMatchAll(b *testing.B) {
 	b.Run("exhaustive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := repo.MatchIncoming(engine, incoming, coma.TopK(10), coma.Exhaustive()); err != nil {
+			if _, err := repo.MatchIncoming(incoming, coma.TopK(10), coma.Exhaustive()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -142,50 +142,61 @@ func TestShardedOneAnalysisPerStoredSchema(t *testing.T) {
 	}
 }
 
-// TestShardedLibraryKeepsStoredAnalyses: a ShardedRepository used as a
+// TestShardedLibraryKeepsStoredAnalyses: a repository used as a
 // library, with no Handler, owns its analyses exactly like a served
-// one. The puts analyze each stored schema once, and by-name matches
-// of every stored schema — each serving as the incoming side and as a
-// candidate of the others — analyze nothing more and evict nothing.
+// one, in the single-file layout as in a shard directory. The puts
+// analyze each stored schema once, and by-name matches of every stored
+// schema — each serving as the incoming side and as a candidate of the
+// others — analyze nothing more and evict nothing.
 func TestShardedLibraryKeepsStoredAnalyses(t *testing.T) {
-	const shards, stored = 3, 12
-	repo := openShardedRepo(t, shards, workload.Corpus(stored, 5), coma.WithCandidateIndex())
-	e := repo.Engine()
-	if got, misses := e.CachedAnalyses(), e.AnalyzerCacheStats().Misses; got != stored || misses != stored {
-		t.Fatalf("after %d puts: %d cached analyses, %d misses; want %d each", stored, got, misses, stored)
-	}
-	for round := 0; round < 2; round++ {
-		for _, name := range repo.SchemaNames() {
-			s, ok := repo.GetSchema(name)
-			if !ok {
-				t.Fatalf("%s not stored", name)
+	const stored = 12
+	for _, shards := range []int{0, 3} {
+		t.Run(layoutName(shards), func(t *testing.T) {
+			repo := openShardedRepo(t, shards, workload.Corpus(stored, 5), coma.WithCandidateIndex())
+			e := repo.Engine()
+			if got, misses := e.CachedAnalyses(), e.AnalyzerCacheStats().Misses; got != stored || misses != stored {
+				t.Fatalf("after %d puts: %d cached analyses, %d misses; want %d each", stored, got, misses, stored)
 			}
-			if _, err := repo.MatchIncoming(s, coma.TopK(3)); err != nil {
-				t.Fatal(err)
+			for round := 0; round < 2; round++ {
+				for _, name := range repo.SchemaNames() {
+					s, ok := repo.GetSchema(name)
+					if !ok {
+						t.Fatalf("%s not stored", name)
+					}
+					if _, err := repo.MatchIncoming(s, coma.TopK(3)); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-	}
-	if got := e.CachedAnalyses(); got != stored {
-		t.Errorf("%d cached analyses after by-name matches, want %d", got, stored)
-	}
-	if misses := e.AnalyzerCacheStats().Misses; misses != stored {
-		t.Errorf("by-name matches cost %d analyzer misses, want 0", misses-stored)
+			if got := e.CachedAnalyses(); got != stored {
+				t.Errorf("%d cached analyses after by-name matches, want %d", got, stored)
+			}
+			if misses := e.AnalyzerCacheStats().Misses; misses != stored {
+				t.Errorf("by-name matches cost %d analyzer misses, want 0", misses-stored)
+			}
+			requireStoreAnalyses(t, repo)
+		})
 	}
 }
 
 // TestShardedAnalysesFollowChurn is the store-level -race test of
 // store-owned analyses: by-name and inline matches, pruned and
 // exhaustive, run against PUT and DELETE churn through the library
-// API. A match only reads the store's analyses, so once the churn is
-// quiet the analyzer entries, the candidate-index schemas and the
-// stored schemas are the same set.
+// API, on a single-file store and a 2-shard directory. A match only
+// reads the store's analyses, so once the churn is quiet the analyzer
+// entries, the candidate-index schemas and the stored schemas are the
+// same set.
 func TestShardedAnalysesFollowChurn(t *testing.T) {
-	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), "churn"), 2,
-		coma.WithCandidateIndex(), coma.WithPersistentColumnCache(), coma.WithSyncPolicy(coma.SyncNone()))
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{0, 2} {
+		t.Run(layoutName(shards), func(t *testing.T) {
+			repo := openShardedRepo(t, shards, nil,
+				coma.WithCandidateIndex(), coma.WithPersistentColumnCache(), coma.WithSyncPolicy(coma.SyncNone()))
+			testAnalysesFollowChurn(t, repo)
+		})
 	}
-	t.Cleanup(func() { repo.Close() })
+}
+
+func testAnalysesFollowChurn(t *testing.T, repo *coma.ShardedRepository) {
 	load := func(name string, seed int) *coma.Schema {
 		s, err := coma.LoadSQL(name, tinyDDL(seed))
 		if err != nil {

@@ -15,6 +15,13 @@
 //	coma -repo coma.repo -reuse-tag manual po2.xsd po3.xsd
 //	coma -i po1.sql po2.xsd        # interactive feedback iterations
 //	coma -format json po1.sql po2.xsd
+//
+// -repo names a single-file repository, opened as the library's
+// OpenRepository opens it: the run stores both schemas in it (and,
+// with -store-tag, the mapping), and -reuse-tag adds the repository's
+// Schema reuse matcher over the mappings stored under that tag. The
+// store analyzes every schema it holds, at open unless its warm
+// sidecar restores it, and at every put.
 package main
 
 import (
@@ -127,9 +134,12 @@ func run(p1, p2, matchers, agg, dir string, maxN int, delta, thr float64,
 		opts = append(opts, coma.WithDictionaryFile(f))
 	}
 
-	var repo *coma.Repository
+	var repo *coma.ShardedRepository
 	if repoPath != "" {
-		repo, err = coma.OpenRepository(repoPath)
+		// The store analyzes what it holds with its own engine; the
+		// dictionary file stays with this invocation's engine, since
+		// WithDictionaryFile consumes its reader.
+		repo, err = coma.OpenRepository(repoPath, coma.WithWorkers(workers))
 		if err != nil {
 			return err
 		}

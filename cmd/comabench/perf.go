@@ -726,7 +726,7 @@ func newPageScanFixture(n int) (*pageScanFixture, error) {
 	}
 	pf := &pageScanFixture{dir: dir, path: filepath.Join(dir, "scan.repo")}
 	stored, _ := workload.CorpusPair(n, 23)
-	repo, err := coma.OpenRepository(pf.path, coma.WithSyncPolicy(coma.SyncNone()))
+	repo, err := repository.Open(pf.path, repository.WithSyncPolicy(repository.SyncNone()))
 	if err != nil {
 		pf.close()
 		return nil, err
@@ -752,13 +752,16 @@ func newPageScanFixture(n int) (*pageScanFixture, error) {
 
 // bench measures one full schema-record scan per op; pool bounds the
 // buffer pool in pages (0 = the storage default, which holds the whole
-// page file resident after the warm-up scan).
+// page file resident after the warm-up scan). The fixture opens as a
+// bare storage log: a coma store would decode every schema at open,
+// and Iter would then re-encode resident values instead of reading
+// pages.
 func (pf *pageScanFixture) bench(b *testing.B, pool int) {
-	opts := []coma.Option{coma.WithSyncPolicy(coma.SyncNone())}
+	opts := []repository.OpenOption{repository.WithSyncPolicy(repository.SyncNone())}
 	if pool > 0 {
-		opts = append(opts, coma.WithPageCache(pool))
+		opts = append(opts, repository.WithPageCache(pool))
 	}
-	repo, err := coma.OpenRepository(pf.path, opts...)
+	repo, err := repository.Open(pf.path, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}

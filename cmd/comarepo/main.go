@@ -1,4 +1,8 @@
 // Command comarepo inspects and maintains a COMA repository file.
+// Every command but fsck opens the file as the library's
+// OpenRepository does: the store builds its match engine (bounded by
+// -workers, with the candidate-pruning index) and analyzes each stored
+// schema the file's warm sidecar (<file>.warm) does not restore.
 //
 // Usage:
 //
@@ -24,12 +28,15 @@
 //
 // The match command is the repository server's batch operation: it
 // imports the schema at -in (.sql, .xsd/.xml, .json or .dtd) and runs
-// one batch against every stored schema, printing the candidates
-// ranked by combined schema similarity together with the best
-// candidate's correspondences. With -topk the batch runs through the
-// candidate-pruning index (the prune ratio is printed);
-// -max-candidates shortlists to the M best-bounded candidates, and
-// -exhaustive disables pruning entirely.
+// one batch through the store's engine against every stored schema,
+// printing the candidates ranked by combined schema similarity
+// together with the best candidate's correspondences. With -topk the
+// batch runs through the candidate-pruning index (the prune ratio is
+// printed); -max-candidates shortlists to the M best-bounded
+// candidates, and -exhaustive disables pruning entirely.
+//
+// The stats command prints the log and page-file sizes; compact prints
+// the store's total size (log plus page file) before and after.
 package main
 
 import (
@@ -49,7 +56,7 @@ func main() {
 		to       = flag.String("to", "", "mapping target schema for 'dump'")
 		in       = flag.String("in", "", "incoming schema file for 'match' (.sql .xsd .xml .json .dtd)")
 		topK     = flag.Int("topk", 0, "match: keep only the K best candidates (0 = all)")
-		workers  = flag.Int("workers", 0, "match: worker bound of the batch (0 = all CPUs)")
+		workers  = flag.Int("workers", 0, "worker bound of the store's analyses and matches (0 = all CPUs)")
 		maxCand  = flag.Int("max-candidates", 0, "match: shortlist to the M best-bounded candidates (0 = no cap)")
 		exhaust  = flag.Bool("exhaustive", false, "match: disable candidate pruning, score every stored schema")
 		repair   = flag.Bool("repair", false, "fsck: salvage-rewrite damaged logs")
@@ -85,7 +92,7 @@ func run(cmd, repoPath, schemaName, tag, from, to, in string, topK, workers, max
 	if cmd == "fsck" {
 		return runFsck(repoPath, repair)
 	}
-	repo, err := coma.OpenRepository(repoPath)
+	repo, err := coma.OpenRepository(repoPath, coma.WithWorkers(workers), coma.WithCandidateIndex())
 	if err != nil {
 		return err
 	}
@@ -94,8 +101,8 @@ func run(cmd, repoPath, schemaName, tag, from, to, in string, topK, workers, max
 	switch cmd {
 	case "stats":
 		st := repo.Stats()
-		fmt.Printf("schemas:  %d\nmappings: %d\ncubes:    %d\nlog size: %d bytes\n",
-			st.Schemas, st.Mappings, st.Cubes, st.LogBytes)
+		fmt.Printf("schemas:  %d\nmappings: %d\ncubes:    %d\nlog size: %d bytes\npages:    %d bytes\n",
+			st.Schemas, st.Mappings, st.Cubes, st.LogBytes, st.PageBytes)
 	case "schemas":
 		for _, n := range repo.SchemaNames() {
 			s, _ := repo.GetSchema(n)
@@ -130,13 +137,14 @@ func run(cmd, repoPath, schemaName, tag, from, to, in string, topK, workers, max
 		if in == "" {
 			return fmt.Errorf("match requires -in")
 		}
-		return runMatch(repo, in, topK, workers, maxCand, exhaustive)
+		return runMatch(repo, in, topK, maxCand, exhaustive)
 	case "compact":
-		before := repo.Stats().LogBytes
+		size := func() int64 { st := repo.Stats(); return st.LogBytes + st.PageBytes }
+		before := size()
 		if err := repo.Compact(); err != nil {
 			return err
 		}
-		fmt.Printf("compacted: %d -> %d bytes\n", before, repo.Stats().LogBytes)
+		fmt.Printf("compacted: %d -> %d bytes (log + pages)\n", before, size())
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
@@ -190,12 +198,8 @@ func runFsck(path string, repair bool) error {
 // runMatch imports the incoming schema and batch-matches it against
 // every stored schema, pruned through the candidate index unless
 // -exhaustive disables it.
-func runMatch(repo *coma.Repository, in string, topK, workers, maxCand int, exhaustive bool) error {
+func runMatch(repo *coma.ShardedRepository, in string, topK, maxCand int, exhaustive bool) error {
 	incoming, err := coma.LoadFile(in)
-	if err != nil {
-		return err
-	}
-	engine, err := coma.NewEngine(coma.WithWorkers(workers), coma.WithCandidateIndex())
 	if err != nil {
 		return err
 	}
@@ -209,7 +213,7 @@ func runMatch(repo *coma.Repository, in string, topK, workers, maxCand int, exha
 	if exhaustive {
 		opts = append(opts, coma.Exhaustive())
 	}
-	matches, err := repo.MatchIncoming(engine, incoming, opts...)
+	matches, err := repo.MatchIncoming(incoming, opts...)
 	if err != nil {
 		return err
 	}

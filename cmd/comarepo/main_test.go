@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	coma "repro"
@@ -165,5 +168,97 @@ func TestCommandErrors(t *testing.T) {
 	}
 	if err := run("match", path, "", "manual", "", "", filepath.Join(t.TempDir(), "nope.txt"), 0, 0, 0, false, false); err == nil {
 		t.Error("match of missing file should fail")
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	err = fn()
+	os.Stdout = stdout
+	w.Close()
+	return <-done, err
+}
+
+// fileSize returns the size of the file at path, 0 when it is absent.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// TestStatsAndCompactCountPages: after a checkpoint a store's records
+// live in its page file, so stats must print the page-file bytes and
+// compact must report the whole store (log plus pages) before and
+// after, not the near-empty log alone.
+func TestStatsAndCompactCountPages(t *testing.T) {
+	path := seedRepo(t)
+	repo, err := coma.OpenRepository(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"PO2", "PO3"} {
+		s, err := coma.LoadSQL(name, "CREATE TABLE U (a INT, c VARCHAR(10));")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := repo.PutSchema(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := repo.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logBytes, pageBytes := fileSize(t, path), fileSize(t, path+".pages")
+	if pageBytes == 0 {
+		t.Fatal("checkpoint wrote no page file")
+	}
+
+	out, err := captureStdout(t, func() error {
+		return run("stats", path, "", "manual", "", "", "", 0, 0, 0, false, false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("log size: %d bytes", logBytes),
+		fmt.Sprintf("pages:    %d bytes", pageBytes),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stats output lacks %q:\n%s", want, out)
+		}
+	}
+
+	out, err = captureStdout(t, func() error {
+		return run("compact", path, "", "manual", "", "", "", 0, 0, 0, false, false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := fileSize(t, path) + fileSize(t, path+".pages")
+	want := fmt.Sprintf("compacted: %d -> %d bytes", logBytes+pageBytes, after)
+	if !strings.Contains(out, want) {
+		t.Errorf("compact output = %q, want it to contain %q", out, want)
 	}
 }

@@ -35,9 +35,15 @@
 // Engine.Analyze. For the repository-server shape of that scenario —
 // one incoming schema against many stored candidates — Engine.MatchAll
 // schedules the whole batch over one worker budget and recycles the
-// per-pair matrices through pooled arenas; Repository.MatchIncoming
-// and ShardedRepository.MatchIncoming run the same batch against every
-// schema of a store.
+// per-pair matrices through pooled arenas.
+//
+// The repository (OpenRepository for a single file,
+// OpenShardedRepository for a directory of shard logs; both return a
+// ShardedRepository) stores schemas, similarity cubes and match
+// results. It owns a match engine configured by the options it was
+// opened with, analyzes each schema once when storing it, and runs the
+// same batch against every stored schema in MatchIncoming; its
+// SchemaMatcher and FragmentMatcher reuse the stored match results.
 package coma
 
 import (
@@ -493,10 +499,10 @@ func KeepCubes() MatchAllOption {
 // AllowPartial opts ShardedRepository.MatchIncoming into graceful
 // degradation: a storage shard with a candidate that fails to match is
 // dropped from the merged ranking and reported as a ShardError instead
-// of failing the whole request. Unsharded batches (Engine.MatchAll and
-// Repository.MatchIncoming) have nothing to degrade and ignore the
-// option; cancellation of the request context always aborts the whole
-// match.
+// of failing the whole request. A single-file store has one shard, so
+// such a failure leaves its ranking empty with one ShardError.
+// Engine.MatchAll has nothing to degrade and ignores the option;
+// cancellation of the request context always aborts the whole match.
 func AllowPartial() MatchAllOption {
 	return func(o *matchAllOptions) error {
 		o.allowPartial = true
@@ -556,8 +562,8 @@ func buildMatchAllOptions(opts []MatchAllOption) (*matchAllOptions, error) {
 	return o, nil
 }
 
-// matchBatch is the one batch path behind Engine.MatchAll and both
-// repositories' MatchIncoming. It validates every schema before
+// matchBatch is the one batch path behind Engine.MatchAll and the
+// repository's MatchIncoming. It validates every schema before
 // anything analyzes it, resolves the analyses — the incoming schema's
 // through Lookup, so one the engine does not cache serves this batch
 // only and keeps no persistent columns; the candidates' through Index,
@@ -588,7 +594,7 @@ func (e *Engine) matchBatch(ctx context.Context, incoming *Schema, groups [][]*S
 	in, cached := mctx.Analyzer.Lookup(incoming, mctx.Sources())
 	var bounds [][]float64
 	if spec := e.pruneSpec(o); spec != nil {
-		bounds = e.candidateBounds(spec, in, cands, o.maxCandidates, stored)
+		bounds = e.candidateBounds(spec, in, cands, o.maxCandidates)
 	}
 	if !cached && mctx.Columns != nil {
 		// Columns keyed by a batch-only analysis could never be found

@@ -4,10 +4,10 @@
 // extract of Table 1 along the way.
 //
 // The top-level README.md walks through this example and the rest of
-// the public API (Engine, the batched Engine.MatchAll, repositories —
-// single-store and sharded — the comaserve network server with its
-// coma.Client, and the cmd tools); examples/server runs the same match
-// through a served repository over HTTP.
+// the public API (Engine, the batched Engine.MatchAll, the repository
+// — one file or a directory of shards — the comaserve network server
+// with its coma.Client, and the cmd tools); examples/server runs the
+// same match through a served repository over HTTP.
 package main
 
 import (

@@ -1,8 +1,6 @@
 package repository
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -11,36 +9,36 @@ import (
 	"repro/internal/schema"
 )
 
-// Legacy checkpoint file (pre-page-file stores): a flat snapshot of
-// live state plus the sequence watermark it covers. Layout:
-//
-//	[12B checkpoint magic][8B LE watermark][v2 record frames...]
-//
-// The frames carry local sequences 1..n (the snapshot is a fold, its
-// records have no log positions); the watermark says "this is the
-// state through log sequence W". Checkpoint now writes the slotted
-// page file instead (pagefile.go) — this format is read-only
-// compatibility for stores written before the paged design, upgraded
-// to a page file on their next Checkpoint.
-var ckptMagic = []byte("COMA.ckpt\x001\n")
-
-// ckptSuffix names a repository's legacy checkpoint file next to its
-// log.
-const ckptSuffix = ".ckpt"
-
-func ckptPath(logPath string) string { return logPath + ckptSuffix }
+// refuseLegacyCheckpoint fails when a flat checkpoint ("<log>.ckpt",
+// the snapshot format before page files, which this build cannot read)
+// sits next to the log at logPath. A store checkpointed by such a
+// build may hold its state only there; opening it without that state
+// would serve a store missing those records, and the next checkpoint
+// would make the loss permanent.
+func refuseLegacyCheckpoint(fsys FS, logPath string) error {
+	name := logPath + ".ckpt"
+	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("repository: %s: %w", name, err)
+	}
+	f.Close()
+	return fmt.Errorf("repository: %s is a flat checkpoint from a build before page files, which this build cannot read; "+
+		"convert it by checkpointing the store once with a build that reads both formats", name)
+}
 
 // Checkpoint durably snapshots the current state into the slotted
 // page file and truncates the log to its header, bounding restart
 // replay to the tail. The write is crash-ordered: the page file lands
-// via tmp+fsync+rename before any legacy checkpoint is dropped or the
-// log truncated, so a crash at any point leaves a consistent
-// (snapshot, log-suffix) pair. Afterwards the store serves reads from
-// the new page file through the buffer pool; mapping and cube values
-// held resident for the log tail are released to it, schemas keep
-// their identity-stable decoded instances. The sequence counter keeps
-// running, so records appended afterwards sort strictly after the
-// watermark.
+// via tmp+fsync+rename before the log is truncated, so a crash at any
+// point leaves a consistent (snapshot, log-suffix) pair. Afterwards
+// the store serves reads from the new page file through the buffer
+// pool; mapping and cube values held resident for the log tail are
+// released to it, schemas keep their identity-stable decoded
+// instances. The sequence counter keeps running, so records appended
+// afterwards sort strictly after the watermark.
 func (r *Repo) Checkpoint() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -83,10 +81,6 @@ func (r *Repo) Checkpoint() error {
 			rec.e.val = nil
 		}
 	}
-	// The page file supersedes any legacy flat checkpoint. Open
-	// prefers the page file, so a surviving .ckpt is inert; removal is
-	// best-effort hygiene.
-	removeIfExists(r.fs, ckptPath(r.path))
 	// The snapshot is durable; the log prefix it covers is now
 	// redundant. Truncate the log to its header. A crash before this
 	// point replays page file + full log, skipping sequences at or
@@ -104,39 +98,4 @@ func (r *Repo) Checkpoint() error {
 	r.dirty = false
 	r.metrics.observeCheckpoint(start)
 	return nil
-}
-
-// loadCheckpoint reads a legacy checkpoint next to logPath. exists is
-// false when there is none; damaged marks a checkpoint whose header or
-// frames are corrupt (intact frames are still delivered best-effort,
-// but an unreadable header discards the whole snapshot).
-func loadCheckpoint(fs FS, logPath string, emit func(kind byte, payload []byte) error) (watermark uint64, exists, damaged bool, err error) {
-	f, err := fs.OpenFile(ckptPath(logPath), os.O_RDONLY, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, false, false, nil
-		}
-		return 0, false, false, err
-	}
-	buf, err := readAll(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, true, true, err
-	}
-	hdr := len(ckptMagic) + 8
-	if len(buf) < hdr || !bytes.Equal(buf[:len(ckptMagic)], ckptMagic) {
-		// Header unreadable: no trustworthy watermark, ignore the file.
-		return 0, true, true, nil
-	}
-	watermark = binary.LittleEndian.Uint64(buf[len(ckptMagic):hdr])
-	out, err := scanLog(buf[hdr:], int64(hdr), func(_ uint64, kind byte, payload []byte) error {
-		return emit(kind, payload)
-	})
-	if err != nil {
-		return watermark, true, true, err
-	}
-	damaged = len(out.skipped) > 0 || out.truncated > 0
-	return watermark, true, damaged, nil
 }

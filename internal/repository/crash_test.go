@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -491,65 +492,47 @@ func TestCheckpointCrashBeforeLogTruncate(t *testing.T) {
 	}
 }
 
-// TestCheckpointDamagedFrame: corruption inside a legacy flat
-// checkpoint's frame loses that record, keeps the rest, flags the
-// report, and the salvage rewrite removes the damaged snapshot. The
-// legacy file is crafted by hand — current Checkpoints write the page
-// file instead, but stores written before the paged design still open
-// through this path.
-func TestCheckpointDamagedFrame(t *testing.T) {
+// TestLegacyCheckpointRefused: a flat checkpoint ("<log>.ckpt", the
+// snapshot format before page files) beside a log fails Open and
+// Verify with an error naming the file, and neither touches a byte of
+// the log or the checkpoint. Such a store may hold its state only in
+// the checkpoint; opening it without that state would serve a store
+// missing those records, and the next checkpoint would lose them for
+// good.
+func TestLegacyCheckpointRefused(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.repo")
 	// On-disk state an old version would have left: a checkpoint with
 	// schemas A and B through watermark 2, and a log tail holding C.
-	ckpt := append([]byte{}, ckptMagic...)
+	ckpt := []byte("COMA.ckpt\x001\n")
 	ckpt = binary.LittleEndian.AppendUint64(ckpt, 2)
 	ckpt = appendFrame(ckpt, 1, kindSchema, encodeSchema(sampleSchema("A")))
 	ckpt = appendFrame(ckpt, 2, kindSchema, encodeSchema(sampleSchema("B")))
 	log := append([]byte{}, fileMagicV2...)
 	log = appendFrame(log, 3, kindSchema, encodeSchema(sampleSchema("C")))
+	cp := path + ".ckpt"
 	if err := os.WriteFile(path, log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	cp := ckptPath(path)
-	data := ckpt
-	// First frame starts after magic + watermark; hit its payload.
-	data[len(ckptMagic)+8+recHdrSize+2] ^= 0xFF
-	if err := os.WriteFile(cp, data, 0o644); err != nil {
+	if err := os.WriteFile(cp, ckpt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	r2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	if r, err := Open(path); err == nil {
+		r.Close()
+		t.Fatal("Open accepted a store with a flat checkpoint")
+	} else if !strings.Contains(err.Error(), cp) {
+		t.Errorf("Open error does not name %s: %v", cp, err)
 	}
-	defer r2.Close()
-	rep := r2.RecoveryReport()
-	if !rep.CheckpointDamaged || !rep.Salvaged {
-		t.Errorf("report = %s, want damaged checkpoint + salvage", rep)
+	if _, err := Verify(path); err == nil || !strings.Contains(err.Error(), cp) {
+		t.Errorf("Verify error = %v, want one naming %s", err, cp)
 	}
-	if _, ok := r2.GetSchema("A"); ok {
-		t.Error("record inside the damaged snapshot frame should be lost")
+	if _, err := VerifyStore(path); err == nil {
+		t.Error("VerifyStore accepted a store with a flat checkpoint")
 	}
-	if _, ok := r2.GetSchema("B"); !ok {
-		t.Error("intact snapshot record lost")
-	}
-	if _, ok := r2.GetSchema("C"); !ok {
-		t.Error("log-suffix record lost")
-	}
-	if _, err := os.Stat(cp); !os.IsNotExist(err) {
-		t.Error("damaged checkpoint should be removed by the salvage rewrite")
-	}
-	// The rewritten log stands alone.
-	r2.Close()
-	r3, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r3.Close()
-	if rep := r3.RecoveryReport(); !rep.Clean() {
-		t.Errorf("post-salvage reopen not clean: %s", rep)
+	for name, want := range map[string][]byte{path: log, cp: ckpt} {
+		if got, err := os.ReadFile(name); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed by the refused open (err %v)", name, err)
+		}
 	}
 }
 
@@ -571,9 +554,6 @@ func TestCompactRemovesCheckpoint(t *testing.T) {
 	if err := r.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(ckptPath(path)); !os.IsNotExist(err) {
-		t.Fatal("checkpoint survived compaction")
-	}
 	r.Close()
 	r2, err := Open(path)
 	if err != nil {
@@ -588,63 +568,42 @@ func TestCompactRemovesCheckpoint(t *testing.T) {
 	}
 }
 
-// legacyFrame encodes one version-1 record for the upgrade test.
+// legacyFrame encodes one version-1 record:
+// [4B LE len][1B kind][payload][4B LE CRC32(kind+payload)].
 func legacyFrame(kind byte, payload []byte) []byte {
-	out := make([]byte, 5, 5+len(payload)+4)
-	out[0] = byte(len(payload))
-	out[1] = byte(len(payload) >> 8)
-	out[2] = byte(len(payload) >> 16)
-	out[3] = byte(len(payload) >> 24)
-	out[4] = kind
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = append(out, kind)
 	out = append(out, payload...)
 	crc := crc32.NewIEEE()
 	crc.Write([]byte{kind})
 	crc.Write(payload)
-	sum := crc.Sum32()
-	return append(out, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
+	return binary.LittleEndian.AppendUint32(out, crc.Sum32())
 }
 
-// TestV1LogUpgrade: a version-1 log opens with legacy replay and is
-// rewritten in the version-2 frame format.
-func TestV1LogUpgrade(t *testing.T) {
+// TestV1LogRefused: a version-1 log (the frame format before per-record
+// magic and sequences) holds no frame this build reads, so Open and
+// Verify fail with the "not a repository file" error and leave its
+// bytes unchanged.
+func TestV1LogRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.repo")
-	var file []byte
-	file = append(file, fileMagicV1...)
+	file := []byte("COMA.repo\x001\n")
 	file = append(file, legacyFrame(kindSchema, encodeSchema(sampleSchema("OLD")))...)
 	file = append(file, legacyFrame(kindSchema, encodeSchema(sampleSchema("OLDER")))...)
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	const want = "not a repository file"
+	if r, err := Open(path); err == nil {
+		r.Close()
+		t.Fatal("Open accepted a version-1 log")
+	} else if !strings.Contains(err.Error(), want) {
+		t.Errorf("Open error = %v, want %q", err, want)
 	}
-	rep := r.RecoveryReport()
-	if !rep.UpgradedV1 || rep.Recovered != 2 {
-		t.Errorf("report = %s, want v1 upgrade with 2 records", rep)
+	if _, err := Verify(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Verify error = %v, want %q", err, want)
 	}
-	if _, ok := r.GetSchema("OLD"); !ok {
-		t.Error("v1 record lost in upgrade")
-	}
-	r.PutSchema(sampleSchema("NEW"))
-	r.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, fileMagicV2) {
-		t.Error("upgraded log does not carry the v2 header")
-	}
-	r2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if rep := r2.RecoveryReport(); !rep.Clean() {
-		t.Errorf("upgraded log not clean on reopen: %s", rep)
-	}
-	if got := len(r2.SchemaNames()); got != 3 {
-		t.Errorf("schemas after upgrade = %d, want 3", got)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, file) {
+		t.Errorf("refused open changed the version-1 log (err %v)", err)
 	}
 }
 

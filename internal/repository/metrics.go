@@ -23,8 +23,8 @@ type StorageMetrics struct {
 	// rename, directory sync, log truncation.
 	Checkpoint *metrics.Histogram
 	// OpensClean counts Opens whose replay needed no recovery;
-	// OpensRecovered counts Opens that salvaged, truncated a torn tail,
-	// or upgraded a v1 log.
+	// OpensRecovered counts Opens that salvaged or truncated a torn
+	// tail.
 	OpensClean     *metrics.Counter
 	OpensRecovered *metrics.Counter
 	// PageHits/PageMisses/PageEvictions count buffer-pool traffic: pin
@@ -66,10 +66,10 @@ func (m *StorageMetrics) Register(reg *metrics.Registry) {
 	reg.AttachHistogram("coma_storage_checkpoint_seconds",
 		"Checkpoint duration end to end (snapshot write, fsync, rename, log truncation).", m.Checkpoint)
 	reg.CounterFunc("coma_storage_opens_total",
-		"Repository opens by recovery outcome (clean replay vs salvage/truncation/upgrade); sums shard opens.",
+		"Repository opens by recovery outcome (clean replay vs salvage/truncation); sums shard opens.",
 		func() float64 { return float64(m.OpensClean.Value() + m.OpensRecovered.Value()) })
 	reg.CounterFunc("coma_storage_opens_recovered_total",
-		"Repository opens whose log needed recovery (salvage, torn-tail truncation, v1 upgrade).",
+		"Repository opens whose log needed recovery (salvage, torn-tail truncation).",
 		func() float64 { return float64(m.OpensRecovered.Value()) })
 	reg.AttachCounter("coma_pagecache_hits_total",
 		"Buffer-pool pin requests served from a resident page frame.", m.PageHits)

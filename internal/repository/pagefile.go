@@ -8,13 +8,13 @@ import (
 	"os"
 )
 
-// Page file: the paged form of a checkpoint snapshot. Where the legacy
-// checkpoint was a flat record stream that had to be replayed into
-// memory wholesale, the page file is a random-access heap of
-// fixed-size slotted pages: open builds only a key directory (keys and
-// page locations, no payloads), and payloads stream through the buffer
-// pool on demand — so the store serves repositories larger than
-// memory and restarts without decoding a byte it is not asked for.
+// Page file: the paged form of a checkpoint snapshot. It is a
+// random-access heap of fixed-size slotted pages, not a record stream
+// replayed into memory wholesale: open builds only a key directory
+// (keys and page locations, no payloads), and payloads stream through
+// the buffer pool on demand — so the store serves repositories larger
+// than memory and restarts without decoding a byte it is not asked
+// for.
 //
 // Layout:
 //
@@ -243,8 +243,7 @@ type pageFile struct {
 // openPageFile opens the page file next to logPath. exists is false
 // when there is none. A file whose header is unreadable or whose
 // checksum fails is reported as exists && damaged with a nil pageFile
-// — the caller falls back to log replay, exactly as for a damaged
-// legacy checkpoint.
+// — the caller falls back to log replay.
 func openPageFile(fsys FS, logPath string) (pf *pageFile, exists, damaged bool, err error) {
 	f, err := fsys.OpenFile(pagePath(logPath), os.O_RDONLY, 0)
 	if err != nil {

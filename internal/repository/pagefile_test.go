@@ -179,9 +179,16 @@ func pagedOps(t *testing.T, r *Repo, n int) map[RecordKind]map[string]bool {
 	return want
 }
 
+// payloadReader is the raw-payload read surface Repo and Sharded
+// share.
+type payloadReader interface {
+	Get(k RecordKind, key string) ([]byte, bool)
+	Iter(k RecordKind, fn func(key string, payload []byte) error) error
+}
+
 // iterAll drains Iter for one kind into ordered keys and payload
 // copies.
-func iterAll(t *testing.T, st Store, k RecordKind) ([]string, map[string][]byte) {
+func iterAll(t *testing.T, st payloadReader, k RecordKind) ([]string, map[string][]byte) {
 	t.Helper()
 	var keys []string
 	payloads := make(map[string][]byte)
@@ -226,10 +233,7 @@ func TestPagedReopenBitIdentical(t *testing.T) {
 	if _, err := os.Stat(pagePath(path)); err != nil {
 		t.Fatalf("no page file after checkpoint: %v", err)
 	}
-	if _, err := os.Stat(ckptPath(path)); !os.IsNotExist(err) {
-		t.Fatalf("legacy checkpoint present after checkpoint: %v", err)
-	}
-	check := func(st Store, ctx string) {
+	check := func(st payloadReader, ctx string) {
 		t.Helper()
 		for _, k := range kinds {
 			keys, payloads := iterAll(t, st, k)
@@ -263,7 +267,7 @@ func TestPagedReopenBitIdentical(t *testing.T) {
 	}
 	defer r2.Close()
 	rep := r2.RecoveryReport()
-	if !rep.PageFileUsed || !rep.CheckpointUsed || !rep.Clean() {
+	if !rep.CheckpointUsed || !rep.Clean() {
 		t.Fatalf("reopen report: %s", rep)
 	}
 	check(r2, "reopened from page file")
@@ -411,7 +415,7 @@ func TestDamagedPageSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := r2.RecoveryReport()
-	if rep.PagesDamaged == 0 || !rep.Salvaged || !rep.PageFileUsed {
+	if rep.PagesDamaged == 0 || !rep.Salvaged || !rep.CheckpointUsed {
 		t.Fatalf("reopen report: %s", rep)
 	}
 	for k, keys := range want {
@@ -476,7 +480,7 @@ func TestVerifyPagedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.OK() || !v.PageFileUsed || v.PageRecords == 0 {
+	if !v.OK() || !v.CheckpointUsed || v.PageRecords == 0 {
 		t.Fatalf("healthy paged store: %s (PageRecords=%d)", v, v.PageRecords)
 	}
 	if v.Records == 0 {
@@ -536,7 +540,7 @@ func crashSweepState(t *testing.T, checkpoint bool) (dir string, want map[Record
 
 func copyRepoFiles(t *testing.T, srcDir, dstDir string) string {
 	t.Helper()
-	for _, name := range []string{"coma.repo", "coma.repo" + pageSuffix, "coma.repo" + ckptSuffix} {
+	for _, name := range []string{"coma.repo", "coma.repo" + pageSuffix} {
 		data, err := os.ReadFile(filepath.Join(srcDir, name))
 		if os.IsNotExist(err) {
 			continue
@@ -551,7 +555,7 @@ func copyRepoFiles(t *testing.T, srcDir, dstDir string) string {
 	return filepath.Join(dstDir, "coma.repo")
 }
 
-func checkKinds(t *testing.T, st Store, want map[RecordKind]map[string]bool, ctx string) {
+func checkKinds(t *testing.T, st payloadReader, want map[RecordKind]map[string]bool, ctx string) {
 	t.Helper()
 	for k, keys := range want {
 		got, _ := iterAll(t, st, k)
@@ -610,7 +614,7 @@ func TestCheckpointCrashSweepPageWrite(t *testing.T) {
 				if cerr != nil {
 					t.Fatalf("fault=%v n=%d: unfired fault but checkpoint error: %v", fk, n, cerr)
 				}
-				if rep := r2.RecoveryReport(); !rep.PageFileUsed {
+				if rep := r2.RecoveryReport(); !rep.CheckpointUsed {
 					t.Fatalf("fault=%v n=%d: completed checkpoint not used on reopen: %s", fk, n, rep)
 				}
 				r2.Close()
@@ -660,7 +664,7 @@ func TestCompactCrashSweepAfterCheckpoint(t *testing.T) {
 			if _, err := os.Stat(pagePath(path)); !os.IsNotExist(err) {
 				t.Fatalf("n=%d: page file survives a completed compact: %v", n, err)
 			}
-			if rep.PageFileUsed {
+			if rep.CheckpointUsed {
 				t.Fatalf("n=%d: reopen used a page file after compact removed it: %s", n, rep)
 			}
 			break
@@ -708,7 +712,7 @@ func TestStaleSnapshotIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.PageFileUsed {
+	if v.CheckpointUsed {
 		t.Fatalf("Verify trusted a superseded snapshot: %s", v)
 	}
 	if !v.OK() {
@@ -720,7 +724,7 @@ func TestStaleSnapshotIgnored(t *testing.T) {
 	}
 	defer r2.Close()
 	rep := r2.RecoveryReport()
-	if rep.PageFileUsed {
+	if rep.CheckpointUsed {
 		t.Fatalf("open trusted a superseded snapshot: %s", rep)
 	}
 	checkKinds(t, r2, want, "stale snapshot")

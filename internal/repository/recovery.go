@@ -19,7 +19,6 @@ import (
 // accepts a frame only if its CRC verifies and its sequence advances,
 // so one corrupt record costs one record, not the rest of the log.
 var (
-	fileMagicV1 = []byte("COMA.repo\x001\n")
 	fileMagicV2 = []byte("COMA.repo\x002\n")
 	recMagic    = [4]byte{0xC5, 'R', 'E', 'C'}
 )
@@ -103,18 +102,13 @@ type RecoveryReport struct {
 	// Salvaged reports that damage forced a full rewrite of the log
 	// from the recovered state (mid-log or header damage).
 	Salvaged bool `json:"salvaged,omitempty"`
-	// UpgradedV1 reports that a version-1 log was replayed with the
-	// legacy frame format and rewritten as version 2.
-	UpgradedV1 bool `json:"upgradedV1,omitempty"`
-	// CheckpointUsed reports that replay started from a checkpoint
-	// snapshot and only the log suffix past its watermark was replayed.
+	// CheckpointUsed reports that replay started from the page-file
+	// snapshot, replaying only the log suffix past its watermark; the
+	// store serves paged reads through the buffer pool.
 	CheckpointUsed bool `json:"checkpointUsed,omitempty"`
-	// CheckpointDamaged reports that a checkpoint file existed but was
-	// corrupt; its intact records were salvaged best-effort.
+	// CheckpointDamaged reports that a page file existed but its header
+	// was unreadable, so the log alone was salvaged.
 	CheckpointDamaged bool `json:"checkpointDamaged,omitempty"`
-	// PageFileUsed reports that the snapshot was a slotted page file
-	// and the store serves paged reads through the buffer pool.
-	PageFileUsed bool `json:"pageFileUsed,omitempty"`
 	// PagesDamaged counts snapshot pages whose checksum or structure
 	// failed; their records were lost and the store salvage-rewritten.
 	PagesDamaged int `json:"pagesDamaged,omitempty"`
@@ -123,7 +117,7 @@ type RecoveryReport struct {
 // Clean reports whether the open found the log fully intact.
 func (rep *RecoveryReport) Clean() bool {
 	return len(rep.SkippedRanges) == 0 && rep.TruncatedBytes == 0 &&
-		!rep.Salvaged && !rep.UpgradedV1 && !rep.CheckpointDamaged &&
+		!rep.Salvaged && !rep.CheckpointDamaged &&
 		rep.PagesDamaged == 0
 }
 
@@ -131,10 +125,8 @@ func (rep *RecoveryReport) Clean() bool {
 func (rep *RecoveryReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d records", rep.Path, rep.Recovered)
-	if rep.PageFileUsed {
+	if rep.CheckpointUsed {
 		b.WriteString(" (from page file)")
-	} else if rep.CheckpointUsed {
-		b.WriteString(" (from checkpoint)")
 	}
 	if rep.Clean() {
 		b.WriteString(", clean")
@@ -151,9 +143,6 @@ func (rep *RecoveryReport) String() string {
 	}
 	if rep.PagesDamaged > 0 {
 		fmt.Fprintf(&b, ", %d damaged pages dropped", rep.PagesDamaged)
-	}
-	if rep.UpgradedV1 {
-		b.WriteString(", upgraded v1 log")
 	}
 	if rep.Salvaged {
 		b.WriteString(", salvage-rewritten")
@@ -211,42 +200,6 @@ func scanLog(buf []byte, base int64, emit func(seq uint64, kind byte, payload []
 		out.truncated = int64(len(buf) - damageStart)
 	}
 	return out, nil
-}
-
-// legacyScan walks a version-1 log (header included in buf):
-// [4B LE len][1B kind][payload][4B CRC32(kind+payload)] frames with no
-// per-record magic or sequence, stopping at the first damaged record
-// (the v1 semantics — salvage needs the v2 frame). It returns the
-// offset where walking stopped.
-func legacyScan(buf []byte, emit func(kind byte, payload []byte) error) (int, error) {
-	off := len(fileMagicV1)
-	for off < len(buf) {
-		if off+5 > len(buf) {
-			break
-		}
-		payloadLen := binary.LittleEndian.Uint32(buf[off:])
-		kind := buf[off+4]
-		if payloadLen > maxPayloadLen {
-			break
-		}
-		end := off + 5 + int(payloadLen) + 4
-		if end > len(buf) {
-			break
-		}
-		payload := buf[off+5 : off+5+int(payloadLen)]
-		want := binary.LittleEndian.Uint32(buf[end-4:])
-		crc := crc32.NewIEEE()
-		crc.Write([]byte{kind})
-		crc.Write(payload)
-		if crc.Sum32() != want {
-			break
-		}
-		if err := emit(kind, payload); err != nil {
-			return off, err
-		}
-		off = end
-	}
-	return off, nil
 }
 
 // readAll reads the file from the start; the offset is left at EOF.

@@ -173,10 +173,10 @@ func WithPageSize(n int) OpenOption {
 // replays it — from a page-file snapshot plus log suffix when one
 // exists. Damage is recovered, not fatal: a torn final record is
 // truncated, mid-log corruption is scanned past record by record, a
-// damaged page costs its records only, a version-1 log is upgraded in
-// place. The only hard failure is a file that holds no recognizable
-// repository data at all. The recovery outcome is available as
-// RecoveryReport.
+// damaged page costs its records only. The hard failures leave every
+// file untouched: a file that holds no recognizable repository data
+// (a version-1 log among them) and a flat checkpoint beside the log.
+// The recovery outcome is available as RecoveryReport.
 func Open(path string, opts ...OpenOption) (*Repo, error) {
 	cfg := openConfig{fs: OSFS, policy: SyncAlways()}
 	for _, o := range opts {
@@ -187,6 +187,9 @@ func Open(path string, opts ...OpenOption) (*Repo, error) {
 	}
 	if cfg.pageSize <= 0 {
 		cfg.pageSize = DefaultPageSize
+	}
+	if err := refuseLegacyCheckpoint(cfg.fs, path); err != nil {
+		return nil, err
 	}
 	f, err := cfg.fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -235,10 +238,7 @@ func (r *Repo) replay() error {
 	switch {
 	case bytes.HasPrefix(buf, fileMagicV2):
 		return r.replayV2(buf, len(fileMagicV2), rep)
-	case bytes.HasPrefix(buf, fileMagicV1):
-		return r.replayV1(buf, rep)
-	case len(buf) < len(fileMagicV2) &&
-		(bytes.HasPrefix(fileMagicV2, buf) || bytes.HasPrefix(fileMagicV1, buf)):
+	case len(buf) < len(fileMagicV2) && bytes.HasPrefix(fileMagicV2, buf):
 		// Torn creation: the crash hit before the header finished.
 		// The store was empty; start it over.
 		rep.TruncatedBytes = int64(len(buf))
@@ -289,7 +289,6 @@ func (r *Repo) replayV2(buf []byte, start int, rep *RecoveryReport) error {
 	}
 
 	var watermark uint64
-	var ckptExists bool
 	if pf != nil {
 		r.pf = pf
 		r.pool = newBufferPool(r.pageCache, pf.readPage, r.metrics)
@@ -310,35 +309,13 @@ func (r *Repo) replayV2(buf []byte, start int, rep *RecoveryReport) error {
 		}
 		watermark = pf.watermark
 		rep.CheckpointUsed = true
-		rep.PageFileUsed = true
 		rep.PagesDamaged = len(damaged)
-	} else {
-		if pfDamaged {
-			// Unreadable page-file header: no trustworthy snapshot.
-			// Whatever the log still holds is salvaged below.
-			rep.CheckpointDamaged = true
-		}
-		// Legacy flat checkpoint (pre-page-file stores). A rewrite
-		// marker in the log supersedes it the same way.
-		if markerSeq > 0 {
-			removeIfExists(r.fs, ckptPath(r.path))
-		} else {
-			var ckptDamaged bool
-			watermark, ckptExists, ckptDamaged, err = loadCheckpoint(r.fs, r.path, func(kind byte, payload []byte) error {
-				if err := r.apply(kind, payload); err != nil {
-					return err
-				}
-				rep.Recovered++
-				return nil
-			})
-			if err != nil {
-				return fmt.Errorf("repository: checkpoint of %s: %w", r.path, err)
-			}
-			rep.CheckpointUsed = ckptExists && !(ckptDamaged && watermark == 0)
-			rep.CheckpointDamaged = rep.CheckpointDamaged || ckptDamaged
-		}
+	} else if pfDamaged {
+		// Unreadable page-file header: no trustworthy snapshot.
+		// Whatever the log still holds is salvaged below.
+		rep.CheckpointDamaged = true
 	}
-	if headerDamaged && len(recs) == 0 && !ckptExists && !pfExists {
+	if headerDamaged && len(recs) == 0 && !pfExists {
 		return fmt.Errorf("repository: %s is not a repository file", r.path)
 	}
 	for _, rc := range recs {
@@ -380,26 +357,6 @@ func (r *Repo) replayV2(buf []byte, start int, rep *RecoveryReport) error {
 	}
 	r.size = scan.end
 	return nil
-}
-
-// replayV1 replays a version-1 log (the pre-salvage frame format:
-// [4B len][1B kind][payload][4B CRC], no per-record magic or
-// sequence) with its original stop-at-first-damage semantics, then
-// rewrites it as version 2.
-func (r *Repo) replayV1(buf []byte, rep *RecoveryReport) error {
-	off, err := legacyScan(buf, func(kind byte, payload []byte) error {
-		if err := r.apply(kind, payload); err != nil {
-			return err
-		}
-		rep.Recovered++
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	rep.TruncatedBytes = int64(len(buf) - off)
-	rep.UpgradedV1 = true
-	return r.rewriteLocked()
 }
 
 // apply folds one log record into the in-memory state. Log-replayed
@@ -691,7 +648,6 @@ func (r *Repo) rewriteLocked() error {
 		r.pool = nil
 	}
 	removeIfExists(r.fs, pagePath(r.path))
-	removeIfExists(r.fs, ckptPath(r.path))
 	// Re-materialize: every entry is log-resident now.
 	for _, rec := range recs {
 		e := rec.e

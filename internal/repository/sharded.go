@@ -12,53 +12,6 @@ import (
 	"repro/internal/simcube"
 )
 
-// Store is the repository surface shared by the single-log Repo and the
-// Sharded backend: schema, mapping and cube storage plus maintenance.
-// Callers that only read and write repository state (the network
-// server, the commands) work against this interface so the backing
-// layout — one log or N sharded logs — is a deployment choice.
-// MappingStore is intentionally absent: its concrete view types differ
-// between backends (TagStore vs. ShardedTagStore); both satisfy
-// reuse.Store.
-type Store interface {
-	PutSchema(s *schema.Schema) error
-	SwapSchema(s *schema.Schema) (prev *schema.Schema, err error)
-	GetSchema(name string) (*schema.Schema, bool)
-	DeleteSchema(name string) error
-	TakeSchema(name string) (prev *schema.Schema, err error)
-	SchemaNames() []string
-	Schemas() []*schema.Schema
-
-	PutMapping(tag string, m *simcube.Mapping) error
-	GetMapping(tag, from, to string) (*simcube.Mapping, bool)
-	DeleteMapping(tag, from, to string) error
-
-	PutCube(key string, c *simcube.Cube) error
-	GetCube(key string) (*simcube.Cube, bool)
-	DeleteCube(key string) error
-
-	// Get and Iter are the raw-payload paths: encoded record bytes
-	// without decoding, streamed through the buffer pool when paged.
-	// Iter visits keys sorted per shard (globally sorted on a
-	// single-log store).
-	Get(k RecordKind, key string) ([]byte, bool)
-	Iter(k RecordKind, fn func(key string, payload []byte) error) error
-	// PageCacheStats snapshots the buffer pool(s) — summed across
-	// shards on a sharded store.
-	PageCacheStats() PageCacheStats
-
-	Stats() Stats
-	Compact() error
-	Checkpoint() error
-	Sync() error
-	Close() error
-}
-
-var (
-	_ Store = (*Repo)(nil)
-	_ Store = (*Sharded)(nil)
-)
-
 // Sharded is an N-shard repository: a directory of independent Repo
 // logs ("shard-000.repo", ...), with every record routed to one shard
 // by an FNV-1a hash of its key (schema name, mapping source schema, or
@@ -70,10 +23,9 @@ var (
 // Records are hashed consistently per kind: schemas by schema name,
 // mappings by their FromSchema (the inverted orientation is resolved at
 // read time by also consulting the ToSchema's shard), cubes by the full
-// cube key. A Sharded opened with one shard behaves exactly like a
-// Repo in a directory.
+// cube key. A Sharded with one shard behaves exactly like its Repo;
+// OpenSingle opens one over a single log file.
 type Sharded struct {
-	dir    string
 	shards []*Repo
 }
 
@@ -100,7 +52,7 @@ func OpenSharded(dir string, n int, opts ...OpenOption) (*Sharded, error) {
 		return nil, fmt.Errorf("repository: %s holds %d shards, opened with %d (shard count is fixed at creation)",
 			dir, len(existing), n)
 	}
-	s := &Sharded{dir: dir, shards: make([]*Repo, n)}
+	s := &Sharded{shards: make([]*Repo, n)}
 	for i := range s.shards {
 		r, err := Open(filepath.Join(dir, fmt.Sprintf(shardPattern, i)), opts...)
 		if err != nil {
@@ -114,12 +66,19 @@ func OpenSharded(dir string, n int, opts ...OpenOption) (*Sharded, error) {
 	return s, nil
 }
 
+// OpenSingle opens (creating if needed) the repository log at path as
+// a one-shard store, so the single-file layout and a shard directory
+// serve through one type.
+func OpenSingle(path string, opts ...OpenOption) (*Sharded, error) {
+	r, err := Open(path, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return &Sharded{shards: []*Repo{r}}, nil
+}
+
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Dir returns the repository directory the shard logs live in — the
-// anchor for sidecar files (warm-restart snapshots) kept next to them.
-func (s *Sharded) Dir() string { return s.dir }
 
 // ShardFor returns the index of the shard holding the given schema
 // name (FNV-1a modulo shard count).

@@ -301,25 +301,42 @@ func TestShardedConcurrentChurn(t *testing.T) {
 }
 
 // TestShardedSingleShardEquivalence: a 1-shard store behaves like one
-// Repo for every operation surface the Store interface names.
+// Repo, and OpenSingle serves an existing single-log file as such a
+// store, that log its only shard.
 func TestShardedSingleShardEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	single, err := Open(filepath.Join(dir, "one.repo"))
+	path := filepath.Join(dir, "one.repo")
+	single, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer single.Close()
 	sharded := openSharded(t, filepath.Join(dir, "sharded"), 1)
 	defer sharded.Close()
 
-	for _, store := range []Store{single, sharded} {
-		for _, c := range workload.Candidates(5) {
-			if err := store.PutSchema(c); err != nil {
-				t.Fatal(err)
-			}
+	for _, c := range workload.Candidates(5) {
+		if err := single.PutSchema(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := sharded.PutSchema(c); err != nil {
+			t.Fatal(err)
 		}
 	}
-	a, b := single.SchemaNames(), sharded.SchemaNames()
+	want := single.Stats()
+	if err := single.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := OpenSingle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	if file.NumShards() != 1 || file.Shard(0).Path() != path {
+		t.Fatalf("OpenSingle: %d shards, shard 0 at %s; want 1 at %s", file.NumShards(), file.Shard(0).Path(), path)
+	}
+	if got := file.Stats(); got != want {
+		t.Errorf("Stats after OpenSingle = %+v, want %+v", got, want)
+	}
+	a, b := file.SchemaNames(), sharded.SchemaNames()
 	if len(a) != len(b) {
 		t.Fatalf("name counts differ: %d vs %d", len(a), len(b))
 	}

@@ -14,11 +14,9 @@ import (
 type VerifyReport struct {
 	RecoveryReport
 	// Records counts valid frames in the log itself (including any a
-	// snapshot supersedes); CheckpointRecords counts frames in a legacy
-	// flat checkpoint; PageRecords counts records in the page file.
-	Records           int `json:"records"`
-	CheckpointRecords int `json:"checkpointRecords,omitempty"`
-	PageRecords       int `json:"pageRecords,omitempty"`
+	// snapshot supersedes); PageRecords counts records in the page file.
+	Records     int `json:"records"`
+	PageRecords int `json:"pageRecords,omitempty"`
 	// DecodeErrors counts CRC-valid records whose payload fails to
 	// decode (an encoder bug or version skew, not media damage).
 	DecodeErrors int `json:"decodeErrors,omitempty"`
@@ -99,7 +97,6 @@ func verifyPageFile(path string, markerSeq uint64, v *VerifyReport) (watermark u
 		// it. Not an integrity failure of the current state.
 		return 0, false, false, nil
 	}
-	v.PageFileUsed = true
 	v.CheckpointUsed = true
 	pool := newBufferPool(64, pf.readPage, nil)
 	var locs []recLoc
@@ -129,10 +126,14 @@ func verifyPageFile(path string, markerSeq uint64, v *VerifyReport) (watermark u
 // Verify checks the repository files at path without modifying them:
 // log frame CRCs, sequence continuity, payload decodability, the page
 // file's per-page checksums and records, and its watermark continuity
-// with the log tail. It errors only when the file cannot be read or
-// holds no recognizable repository data; damage is reported, not
-// fatal.
+// with the log tail. It errors only when the file cannot be read,
+// holds no recognizable repository data (a version-1 log among them)
+// or has a flat checkpoint beside it — the files Open refuses; damage
+// is reported, not fatal.
 func Verify(path string) (*VerifyReport, error) {
+	if err := refuseLegacyCheckpoint(OSFS, path); err != nil {
+		return nil, err
+	}
 	f, err := OSFS.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("repository: verify %s: %w", path, err)
@@ -152,10 +153,7 @@ func Verify(path string) (*VerifyReport, error) {
 	case bytes.HasPrefix(buf, fileMagicV2):
 		// An exactly-header file still falls through: a snapshot may
 		// hold the whole store (the post-checkpoint steady state).
-	case bytes.HasPrefix(buf, fileMagicV1):
-		return verifyV1(buf, v)
-	case len(buf) < len(fileMagicV2) &&
-		(bytes.HasPrefix(fileMagicV2, buf) || bytes.HasPrefix(fileMagicV1, buf)):
+	case len(buf) < len(fileMagicV2) && bytes.HasPrefix(fileMagicV2, buf):
 		v.TruncatedBytes = int64(len(buf))
 		return v, nil
 	default:
@@ -180,29 +178,13 @@ func Verify(path string) (*VerifyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot: page file first, legacy flat checkpoint as fallback —
+	// Snapshot: the page file, unless a rewrite marker superseded it —
 	// mirroring what replay would trust.
 	watermark, pfExists, pfUsable, err := verifyPageFile(path, markerSeq, v)
 	if err != nil {
 		return nil, fmt.Errorf("repository: verify %s: %w", path, err)
 	}
-	if !pfUsable && markerSeq == 0 {
-		var ckptExists, ckptDamaged bool
-		watermark, ckptExists, ckptDamaged, err = loadCheckpoint(OSFS, path, func(kind byte, payload []byte) error {
-			v.CheckpointRecords++
-			if derr := decodeCheck(kind, payload); derr != nil {
-				v.DecodeErrors++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("repository: verify %s: %w", path, err)
-		}
-		v.CheckpointUsed = v.CheckpointUsed || (ckptExists && !(ckptDamaged && watermark == 0))
-		v.CheckpointDamaged = v.CheckpointDamaged || ckptDamaged
-		pfExists = pfExists || ckptExists
-	}
-	v.Recovered = v.CheckpointRecords + v.PageRecords
+	v.Recovered = v.PageRecords
 	var prevSeq uint64
 	for _, fr := range frames {
 		v.Records++
@@ -234,25 +216,6 @@ func Verify(path string) (*VerifyReport, error) {
 	if start == 0 {
 		v.Salvaged = true // a real open would salvage-rewrite
 	}
-	return v, nil
-}
-
-// verifyV1 checks a legacy version-1 log; it is never OK (an open
-// would upgrade it to version 2).
-func verifyV1(buf []byte, v *VerifyReport) (*VerifyReport, error) {
-	off, err := legacyScan(buf, func(kind byte, payload []byte) error {
-		v.Records++
-		v.Recovered++
-		if derr := decodeCheck(kind, payload); derr != nil {
-			v.DecodeErrors++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	v.TruncatedBytes = int64(len(buf) - off)
-	v.UpgradedV1 = true
 	return v, nil
 }
 

@@ -190,11 +190,10 @@ type RecoveryStatus struct {
 	TruncatedBytes int64 `json:"truncatedBytes,omitempty"`
 	// Salvaged reports that damage forced a full salvage rewrite.
 	Salvaged bool `json:"salvaged,omitempty"`
-	// UpgradedV1 reports a legacy version-1 log was upgraded.
-	UpgradedV1 bool `json:"upgradedV1,omitempty"`
-	// CheckpointUsed reports replay started from a checkpoint snapshot.
+	// CheckpointUsed reports replay started from the page-file snapshot.
 	CheckpointUsed bool `json:"checkpointUsed,omitempty"`
-	// CheckpointDamaged reports a corrupt checkpoint was salvaged.
+	// CheckpointDamaged reports an unreadable page file was dropped and
+	// the log alone salvaged.
 	CheckpointDamaged bool `json:"checkpointDamaged,omitempty"`
 	// Clean reports the log was fully intact.
 	Clean bool `json:"clean"`

@@ -172,11 +172,7 @@ func TestRepositoryMatchIncoming(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	engine, err := coma.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches, err := repo.MatchIncoming(engine, incoming)
+	matches, err := repo.MatchIncoming(incoming)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +192,7 @@ func TestRepositoryMatchIncoming(t *testing.T) {
 		t.Errorf("best candidate %s, want CIDX#2", matches[0].Schema.Name)
 	}
 
-	short, err := repo.MatchIncoming(engine, incoming, coma.TopK(2))
+	short, err := repo.MatchIncoming(incoming, coma.TopK(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,25 +16,21 @@ import (
 	"repro/internal/workload"
 )
 
-// openPrunedRepo opens a single-store repository plus an engine with
-// the candidate-pruning index, preloaded with the given schemas.
-func openPrunedRepo(t *testing.T, stored []*coma.Schema) (*coma.Repository, *coma.Engine) {
+// openPrunedRepo opens a single-file store with the candidate-pruning
+// index, preloaded with the given schemas.
+func openPrunedRepo(t *testing.T, stored []*coma.Schema) *coma.ShardedRepository {
 	t.Helper()
-	repo, err := coma.OpenRepository(filepath.Join(t.TempDir(), "pruned.repo"))
+	repo, err := coma.OpenRepository(filepath.Join(t.TempDir(), "pruned.repo"), coma.WithCandidateIndex())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { repo.Close() })
-	engine, err := coma.NewEngine(coma.WithCandidateIndex())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, s := range stored {
 		if err := repo.PutSchema(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return repo, engine
+	return repo
 }
 
 // requireSameMatches fails unless the two rankings are bit-identical:
@@ -70,19 +66,19 @@ func requireSameMatches(t *testing.T, label string, got, want []coma.IncomingMat
 
 // TestPrunedMatchBitIdentical is the tentpole's golden test: the
 // pruned TopK ranking equals the exhaustive one bit for bit — scores,
-// order and mappings — on the single store and on every tested shard
-// count.
+// order and mappings — on the single-file store and on every tested
+// shard count.
 func TestPrunedMatchBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	stored, incoming := workload.CorpusPair(60, 3)
 
 	t.Run("single", func(t *testing.T) {
-		repo, engine := openPrunedRepo(t, stored)
-		pruned, err := repo.MatchIncomingContext(ctx, engine, incoming, coma.TopK(10))
+		repo := openPrunedRepo(t, stored)
+		pruned, _, err := repo.MatchIncomingContext(ctx, incoming, coma.TopK(10))
 		if err != nil {
 			t.Fatal(err)
 		}
-		exhaustive, err := repo.MatchIncomingContext(ctx, engine, incoming, coma.TopK(10), coma.Exhaustive())
+		exhaustive, _, err := repo.MatchIncomingContext(ctx, incoming, coma.TopK(10), coma.Exhaustive())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +90,7 @@ func TestPrunedMatchBitIdentical(t *testing.T) {
 		if stats.Skipped == 0 {
 			t.Error("pruned match skipped nothing — the index carries no discrimination")
 		}
-		t.Logf("single store: %d candidates, %d matched, %d skipped (ratio %.2f)",
+		t.Logf("single-file store: %d candidates, %d matched, %d skipped (ratio %.2f)",
 			stats.Candidates, stats.Matched, stats.Skipped, stats.Ratio())
 	})
 
@@ -129,8 +125,8 @@ func TestPrunedMatchBitIdentical(t *testing.T) {
 func TestPrunedMatchWithoutTopK(t *testing.T) {
 	ctx := context.Background()
 	stored, incoming := workload.CorpusPair(10, 5)
-	repo, engine := openPrunedRepo(t, stored)
-	out, err := repo.MatchIncomingContext(ctx, engine, incoming)
+	repo := openPrunedRepo(t, stored)
+	out, _, err := repo.MatchIncomingContext(ctx, incoming)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +144,9 @@ func TestPrunedMatchWithoutTopK(t *testing.T) {
 func TestPrunedMatchMaxCandidates(t *testing.T) {
 	ctx := context.Background()
 	stored, incoming := workload.CorpusPair(24, 9)
-	repo, engine := openPrunedRepo(t, stored)
+	repo := openPrunedRepo(t, stored)
 
-	out, err := repo.MatchIncomingContext(ctx, engine, incoming, coma.TopK(5), coma.MaxCandidates(8))
+	out, _, err := repo.MatchIncomingContext(ctx, incoming, coma.TopK(5), coma.MaxCandidates(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +162,11 @@ func TestPrunedMatchMaxCandidates(t *testing.T) {
 	}
 
 	// A cap above the candidate count must not change the ranking.
-	capped, err := repo.MatchIncomingContext(ctx, engine, incoming, coma.TopK(5), coma.MaxCandidates(len(stored)))
+	capped, _, err := repo.MatchIncomingContext(ctx, incoming, coma.TopK(5), coma.MaxCandidates(len(stored)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exhaustive, err := repo.MatchIncomingContext(ctx, engine, incoming, coma.TopK(5), coma.Exhaustive())
+	exhaustive, _, err := repo.MatchIncomingContext(ctx, incoming, coma.TopK(5), coma.Exhaustive())
 	if err != nil {
 		t.Fatal(err)
 	}

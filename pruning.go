@@ -13,18 +13,17 @@ import (
 )
 
 // This file wires the candidate-pruning index (internal/candidates)
-// into the repository match paths. With WithCandidateIndex, the engine
-// maintains an inverted index over its stored schemas' analysis
+// into the repository match path. With WithCandidateIndex, a store's
+// engine maintains an inverted index over its stored schemas' analysis
 // artifacts (name tokens, dictionary term ids, generic type classes);
-// Repository.MatchIncoming and ShardedRepository.MatchIncoming score
-// each stored candidate with a cheap admissible upper bound on its
-// combined schema similarity and hand the bounds to the batch
-// scheduler (core.MatchBatch), which skips every candidate whose bound
-// cannot reach the running k-th best real score. Results
-// are bit-identical to the exhaustive scan; only the amount of work
-// changes. The index falls back to the exhaustive scan whenever the
-// bound would not be provably admissible (custom matchers, feedback,
-// non-library strategies) or no TopK is requested.
+// ShardedRepository.MatchIncoming scores each stored candidate with a
+// cheap admissible upper bound on its combined schema similarity and
+// hands the bounds to the batch scheduler (core.MatchBatch), which
+// skips every candidate whose bound cannot reach the running k-th best
+// real score. Results are bit-identical to the exhaustive scan; only
+// the amount of work changes. The index falls back to the exhaustive
+// scan whenever the bound would not be provably admissible (custom
+// matchers, feedback, non-library strategies) or no TopK is requested.
 
 // PruneStats reports how much work candidate pruning saved in the last
 // MatchIncoming batch: total candidates, pairs fully matched, pairs
@@ -43,17 +42,16 @@ type PruneTotals = core.PruneTotals
 // schema count and total posting-list entries.
 type CandidateIndexStats = candidates.Stats
 
-// WithCandidateIndex equips the engine with a candidate-pruning index:
-// an inverted index over the stored schemas' name tokens, dictionary
-// term ids and generic type classes, maintained incrementally as a
-// ShardedRepository stores and deletes schemas (never rebuilt from
-// scratch) and filled lazily for candidates nobody indexed, such as a
-// Repository's stored schemas. Repository.MatchIncoming and its
-// sharded form then prune TopK batches through it — skipping every candidate whose upper bound
+// WithCandidateIndex equips a store's engine with a candidate-pruning
+// index: an inverted index over the stored schemas' name tokens,
+// dictionary term ids and generic type classes, maintained
+// incrementally as the store puts and deletes schemas (never rebuilt
+// from scratch). ShardedRepository.MatchIncoming then prunes TopK
+// batches through it — skipping every candidate whose upper bound
 // cannot reach the running k-th best real score — with results
 // bit-identical to the exhaustive scan. Matches that cannot be safely
 // bounded (custom matchers, feedback, no TopK, Exhaustive) run
-// exhaustively as before.
+// exhaustively as before, and Engine.MatchAll never prunes.
 func WithCandidateIndex() Option {
 	return func(o *Options) error {
 		o.candIdx = candidates.NewIndex()
@@ -104,17 +102,16 @@ func (e *Engine) pruneSpec(o *matchAllOptions) *candidates.Spec {
 }
 
 // candidateBounds computes one admissible upper bound per candidate
-// from the engine's candidate index, one slice per group. Candidates
-// whose posting is missing or stale are posted from their batch
-// analysis first: added when they come from a caller's list, which
-// nobody else indexes, but only refreshed when they are a store's own
-// schemas, which the store indexes and unindexes itself — so a
-// snapshot candidate deleted meanwhile cannot re-enter the index. The
-// index is consulted once over every group's candidates (Bounds walks
-// every posting of the probe's keys, so a call per group would repeat
-// that walk), and MaxCandidates cuts across all groups: the merged
-// ranking is what the cap is about, not any one shard's.
-func (e *Engine) candidateBounds(spec *candidates.Spec, in *analysis.SchemaIndex, groups [][]*analysis.SchemaIndex, maxCandidates int, stored bool) [][]float64 {
+// from the engine's candidate index, one slice per group. A candidate
+// whose posting is stale is refreshed from its batch analysis first;
+// one the index no longer holds stays out, since the store indexes and
+// unindexes its own schemas — so a snapshot candidate deleted
+// meanwhile cannot re-enter the index. The index is consulted once
+// over every group's candidates (Bounds walks every posting of the
+// probe's keys, so a call per group would repeat that walk), and
+// MaxCandidates cuts across all groups: the merged ranking is what the
+// cap is about, not any one shard's.
+func (e *Engine) candidateBounds(spec *candidates.Spec, in *analysis.SchemaIndex, groups [][]*analysis.SchemaIndex, maxCandidates int) [][]float64 {
 	var xs []*analysis.SchemaIndex
 	for _, g := range groups {
 		xs = append(xs, g...)
@@ -130,11 +127,7 @@ func (e *Engine) candidateBounds(spec *candidates.Spec, in *analysis.SchemaIndex
 			of[x.Schema] = x
 		}
 		for _, s := range stale {
-			if stored {
-				ci.Refresh(s, of[s])
-			} else {
-				ci.Add(s, of[s])
-			}
+			ci.Refresh(s, of[s])
 		}
 	}
 	flat := ci.Bounds(candidates.NewProbe(spec, in), all)
@@ -175,7 +168,7 @@ func (e *Engine) CandidateIndexStats() (st CandidateIndexStats, ok bool) {
 
 // pruneLog records a repository's pruned batches: the most recent
 // batch's statistics and the cumulative counters behind /readyz and
-// /metrics. Both repository types embed it.
+// /metrics.
 type pruneLog struct {
 	last   atomic.Pointer[PruneStats]
 	totals core.PruneCounters

@@ -170,7 +170,6 @@ func (b *backend) Recovery() []server.RecoveryStatus {
 			SkippedBytes:      rep.SkippedBytes,
 			TruncatedBytes:    rep.TruncatedBytes,
 			Salvaged:          rep.Salvaged,
-			UpgradedV1:        rep.UpgradedV1,
 			CheckpointUsed:    rep.CheckpointUsed,
 			CheckpointDamaged: rep.CheckpointDamaged,
 			Clean:             rep.Clean(),

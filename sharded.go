@@ -3,14 +3,19 @@ package coma
 import (
 	"context"
 	"fmt"
+	"path/filepath"
+	"sort"
 	"sync"
 
 	"repro/internal/repository"
 )
 
-// ShardedRepository is the scale-out form of Repository: schemas,
-// mappings and cubes are distributed over N independent shard logs
-// (hash of the schema name), each with its own lock and page pool.
+// ShardedRepository is COMA's repository: the store of schemas,
+// similarity cubes and match results that MatchIncoming and the reuse
+// matchers (SchemaMatcher, FragmentMatcher) read. Its records live in
+// one or more shard logs, routed by a hash of the schema name, each
+// with its own lock and page pool: OpenRepository opens a single log
+// file as the only shard, OpenShardedRepository a directory of N.
 // Shards are a storage concept only: the store carries ONE match
 // Engine — one analysis cache, one persistent column cache, one
 // candidate index — whichever shard holds a schema. MatchIncoming
@@ -27,8 +32,11 @@ import (
 // never cached. Schemas written through the embedded
 // repository.Sharded directly bypass this and are analyzed per match.
 //
-// Outputs are bit-identical across shard counts and to the
-// single-store Repository.MatchIncoming; golden tests pin that.
+// Outputs are bit-identical across layouts and shard counts and to a
+// loop of Engine.Match calls over the stored schemas; golden tests pin
+// that. To match the stored schemas under another matcher
+// configuration than the store's, pass Schemas() to that
+// configuration's Engine.MatchAll.
 type ShardedRepository struct {
 	*repository.Sharded
 	engine *Engine
@@ -37,6 +45,9 @@ type ShardedRepository struct {
 	// storage aggregates every shard's durability instruments (one
 	// StorageMetrics shared across shard logs).
 	storage *repository.StorageMetrics
+	// warmPath is the warm-restart sidecar: <path>.warm beside a
+	// single log file, warm.snap inside a shard directory.
+	warmPath string
 	// warm holds the startup warm-restore outcome (see WarmStart).
 	warm WarmStats
 	// warmMu serializes sidecar writes: each replaces the sidecar
@@ -45,11 +56,33 @@ type ShardedRepository struct {
 	warmMu sync.Mutex
 }
 
+// OpenRepository opens (creating if necessary) the single-file
+// repository at path: a one-shard store whose shard is the log at path
+// (checkpoints add <path>.pages and the warm sidecar <path>.warm). The
+// opts configure the store's engine (matchers, strategy, worker bound,
+// caches) and its storage (sync policy, page cache), as for
+// OpenShardedRepository.
+func OpenRepository(path string, opts ...Option) (*ShardedRepository, error) {
+	return openStore(path, path+warmSuffix, opts, func(ropts []repository.OpenOption) (*repository.Sharded, error) {
+		return repository.OpenSingle(path, ropts...)
+	})
+}
+
 // OpenShardedRepository opens (creating if necessary) an n-shard
 // repository rooted at dir. The opts configure the store's engine
 // (matchers, strategy, worker bound, caches) and its storage (sync
 // policy, page cache).
 func OpenShardedRepository(dir string, shards int, opts ...Option) (*ShardedRepository, error) {
+	return openStore(dir, filepath.Join(dir, warmSnapName), opts, func(ropts []repository.OpenOption) (*repository.Sharded, error) {
+		return repository.OpenSharded(dir, shards, ropts...)
+	})
+}
+
+// openStore is the body of both constructors: it builds the store's
+// engine from opts, opens the layout through open, seeds the engine
+// from the warm sidecar at warmPath and analyzes every stored schema
+// the sidecar did not cover. root names the store in errors.
+func openStore(root, warmPath string, opts []Option, open func([]repository.OpenOption) (*repository.Sharded, error)) (*ShardedRepository, error) {
 	engine, err := NewEngine(opts...)
 	if err != nil {
 		return nil, err
@@ -63,15 +96,15 @@ func OpenShardedRepository(dir string, shards int, opts ...Option) (*ShardedRepo
 	if o.pageCache > 0 {
 		ropts = append(ropts, repository.WithPageCache(o.pageCache))
 	}
-	store, err := repository.OpenSharded(dir, shards, ropts...)
+	store, err := open(ropts)
 	if err != nil {
-		return nil, fmt.Errorf("coma: open sharded repository %s: %w", dir, err)
+		return nil, fmt.Errorf("coma: open repository %s: %w", root, err)
 	}
-	r := &ShardedRepository{Sharded: store, engine: engine, storage: storage}
+	r := &ShardedRepository{Sharded: store, engine: engine, storage: storage, warmPath: warmPath}
 	// The warm sidecar (if any) seeds the engine with restored analyses
 	// and columns; every stored schema it did not cover is analyzed now,
 	// in parallel, so matches never analyze a stored schema.
-	r.warm = restoreWarm(r.warmPath(), store, engine)
+	r.warm = restoreWarm(warmPath, store, engine)
 	var cold []*Schema
 	for _, s := range store.Schemas() {
 		if engine.o.ctx.Analyzer.Peek(s) == nil && s.Validate() == nil {
@@ -158,13 +191,13 @@ func (r *ShardedRepository) forget(s *Schema) {
 }
 
 // MatchIncoming matches an incoming schema against every schema stored
-// in any shard — the network server's core operation. All pairs run in
-// one batch through the store's engine, on the stored schemas' own
-// analyses, and share one worker budget; outcomes are ordered by
-// descending combined schema similarity (name breaking ties), and
-// candidates sharing the incoming schema's name are skipped. With
-// TopK(n) only the n best survive. Results are bit-identical to the
-// single-store Repository.MatchIncoming.
+// in any shard — the repository server's core operation: a new schema
+// arrives and the store answers with the most similar known schemas
+// and their mappings. All pairs run in one batch through the store's
+// engine, on the stored schemas' own analyses, and share one worker
+// budget; outcomes are ordered by descending combined schema
+// similarity (name breaking ties), and candidates sharing the incoming
+// schema's name are skipped. With TopK(n) only the n best survive.
 func (r *ShardedRepository) MatchIncoming(incoming *Schema, opts ...MatchAllOption) ([]IncomingMatch, error) {
 	out, _, err := r.MatchIncomingContext(context.Background(), incoming, opts...)
 	return out, err
@@ -184,9 +217,39 @@ func (r *ShardedRepository) MatchIncomingContext(ctx context.Context, incoming *
 	if err != nil {
 		return nil, nil, err
 	}
+	// One candidate group per storage shard, so AllowPartial can drop
+	// a failing shard as a unit.
 	groups := make([][]*Schema, r.NumShards())
 	for i := range groups {
-		groups[i] = r.ShardSchemas(i)
+		for _, s := range r.ShardSchemas(i) {
+			if s.Name != incoming.Name {
+				groups[i] = append(groups[i], s)
+			}
+		}
 	}
-	return r.engine.matchIncoming(ctx, incoming, o, &r.pruneLog, groups, true)
+	results, stats, groupErrs, err := r.engine.matchBatch(ctx, incoming, groups, o, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	if stats != nil {
+		r.record(*stats)
+	}
+	var out []IncomingMatch
+	for gi, rs := range results {
+		for ci, res := range rs {
+			if res != nil {
+				out = append(out, IncomingMatch{Schema: groups[gi][ci], Result: res})
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Result.SchemaSim != out[j].Result.SchemaSim {
+			return out[i].Result.SchemaSim > out[j].Result.SchemaSim
+		}
+		return out[i].Schema.Name < out[j].Schema.Name
+	})
+	if o.topK > 0 && len(out) > o.topK {
+		out = out[:o.topK]
+	}
+	return out, groupErrs, nil
 }

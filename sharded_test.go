@@ -3,6 +3,7 @@ package coma_test
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -10,11 +11,31 @@ import (
 	"repro/internal/workload"
 )
 
-// openShardedRepo opens an n-shard repository under t's temp dir,
-// preloaded with the given schemas.
+// storeLayouts are the repository layouts the golden tests sweep: the
+// single-file store (0, OpenRepository) and directories of 1, 4 and 16
+// shards.
+var storeLayouts = []int{0, 1, 4, 16}
+
+// layoutName labels a layout of openShardedRepo.
+func layoutName(n int) string {
+	if n == 0 {
+		return "file"
+	}
+	return fmt.Sprintf("shards-%d", n)
+}
+
+// openShardedRepo opens a repository under t's temp dir, preloaded
+// with the given schemas: a single-file store for n == 0, an n-shard
+// directory otherwise.
 func openShardedRepo(t *testing.T, n int, stored []*coma.Schema, opts ...coma.Option) *coma.ShardedRepository {
 	t.Helper()
-	repo, err := coma.OpenShardedRepository(filepath.Join(t.TempDir(), fmt.Sprintf("shards-%d", n)), n, opts...)
+	var repo *coma.ShardedRepository
+	var err error
+	if n == 0 {
+		repo, err = coma.OpenRepository(filepath.Join(t.TempDir(), "file.repo"), opts...)
+	} else {
+		repo, err = coma.OpenShardedRepository(filepath.Join(t.TempDir(), fmt.Sprintf("shards-%d", n)), n, opts...)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,41 +48,57 @@ func openShardedRepo(t *testing.T, n int, stored []*coma.Schema, opts ...coma.Op
 	return repo
 }
 
-// TestShardedMatchIncomingGolden is the sharded backend's golden
-// guarantee: MatchIncoming through an N-shard store — one engine over
-// every shard's candidates, merged ranking — produces results
-// bit-identical to the single-store Repository.MatchIncoming, for
-// shard counts {1, 4, 16}, sequentially and in parallel.
+// referenceMatches is the golden reference for a store's
+// MatchIncoming: one Engine.Match per stored schema on a fresh engine,
+// skipping the incoming schema's name, ranked by descending combined
+// schema similarity (name breaking ties) and cut to topK (0 = keep
+// all).
+func referenceMatches(t *testing.T, incoming *coma.Schema, stored []*coma.Schema, topK int) []coma.IncomingMatch {
+	t.Helper()
+	e, err := coma.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []coma.IncomingMatch
+	for _, s := range stored {
+		if s.Name == incoming.Name {
+			continue
+		}
+		res, err := e.Match(incoming, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, coma.IncomingMatch{Schema: s, Result: res})
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Result.SchemaSim != out[j].Result.SchemaSim {
+			return out[i].Result.SchemaSim > out[j].Result.SchemaSim
+		}
+		return out[i].Schema.Name < out[j].Schema.Name
+	})
+	if topK > 0 && len(out) > topK {
+		out = out[:topK]
+	}
+	return out
+}
+
+// TestShardedMatchIncomingGolden is the store's golden guarantee:
+// MatchIncoming — one engine over every shard's candidates, merged
+// ranking — produces results bit-identical to a loop of Engine.Match
+// over the stored schemas, for the single-file layout and shard counts
+// {1, 4, 16}, sequentially and in parallel.
 func TestShardedMatchIncomingGolden(t *testing.T) {
 	all := workload.Candidates(13)
 	incoming, stored := all[0], all[1:]
 
-	// Single-store reference.
-	ref, err := coma.OpenRepository(filepath.Join(t.TempDir(), "ref.repo"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	for _, s := range stored {
-		if err := ref.PutSchema(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refEngine, err := coma.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.MatchIncoming(refEngine, incoming)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceMatches(t, incoming, stored, 0)
 	if len(want) != len(stored) {
 		t.Fatalf("reference: %d matches for %d stored", len(want), len(stored))
 	}
 
-	for _, nShards := range []int{1, 4, 16} {
+	for _, nShards := range storeLayouts {
 		for _, workers := range []int{1, 0} { // sequential, all CPUs
-			label := fmt.Sprintf("shards=%d/workers=%d", nShards, workers)
+			label := fmt.Sprintf("%s/workers=%d", layoutName(nShards), workers)
 			repo := openShardedRepo(t, nShards, stored, coma.WithWorkers(workers))
 			// Two rounds through the same store: the second runs on
 			// the warm analysis cache and must not drift.
@@ -87,48 +124,34 @@ func TestShardedMatchIncomingGolden(t *testing.T) {
 }
 
 // TestShardedMatchIncomingTopK pins the global shortlist semantics:
-// per-shard pruning plus the merged cut equals the single-store TopK.
+// per-shard pruning plus the merged cut equals the reference TopK, on
+// every layout.
 func TestShardedMatchIncomingTopK(t *testing.T) {
 	all := workload.Candidates(11)
 	incoming, stored := all[0], all[1:]
 
-	ref, err := coma.OpenRepository(filepath.Join(t.TempDir(), "ref.repo"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	for _, s := range stored {
-		if err := ref.PutSchema(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refEngine, err := coma.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for _, k := range []int{1, 3, 25} { // 25 > candidate count: keep all
-		want, err := ref.MatchIncoming(refEngine, incoming, coma.TopK(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		repo := openShardedRepo(t, 4, stored)
-		got, err := repo.MatchIncoming(incoming, coma.TopK(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("TopK(%d): %d matches, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Schema.Name != want[i].Schema.Name {
-				t.Errorf("TopK(%d) rank %d: %s, want %s", k, i, got[i].Schema.Name, want[i].Schema.Name)
-				continue
+		want := referenceMatches(t, incoming, stored, k)
+		for _, nShards := range storeLayouts {
+			label := fmt.Sprintf("TopK(%d)/%s", k, layoutName(nShards))
+			repo := openShardedRepo(t, nShards, stored)
+			got, err := repo.MatchIncoming(incoming, coma.TopK(k))
+			if err != nil {
+				t.Fatal(err)
 			}
-			assertResultsEqual(t, fmt.Sprintf("topk%d/%s", k, got[i].Schema.Name), got[i].Result, want[i].Result)
-		}
-		if err := repo.Close(); err != nil {
-			t.Fatal(err)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d matches, want %d", label, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Schema.Name != want[i].Schema.Name {
+					t.Errorf("%s rank %d: %s, want %s", label, i, got[i].Schema.Name, want[i].Schema.Name)
+					continue
+				}
+				assertResultsEqual(t, fmt.Sprintf("%s/%s", label, got[i].Schema.Name), got[i].Result, want[i].Result)
+			}
+			if err := repo.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

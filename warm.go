@@ -6,13 +6,11 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 
 	"repro/internal/analysis"
 	"repro/internal/combine"
 	"repro/internal/match"
 	"repro/internal/repository"
-	"repro/internal/schema"
 )
 
 // Warm-restart sidecars persist the expensive in-memory state a
@@ -49,8 +47,12 @@ import (
 // format version.
 const warmMagic = "COMA.warm\x001\n"
 
-// warmSnapName is the sidecar file of a sharded repository directory.
-const warmSnapName = "warm.snap"
+// warmSnapName is the sidecar file inside a shard directory;
+// warmSuffix names the sidecar beside a single log file.
+const (
+	warmSnapName = "warm.snap"
+	warmSuffix   = ".warm"
+)
 
 // WarmStats reports what a warm restore found and did; /readyz and
 // comaserve's startup log surface it.
@@ -68,15 +70,6 @@ type WarmStats struct {
 	// Columns counts persistent similarity columns seeded (0 without
 	// WithPersistentColumnCache: nothing can hold them).
 	Columns int
-}
-
-// warmStore is the slice of the repository API the warm sidecar needs;
-// *repository.Sharded provides it (and *repository.Repo, which the
-// sidecar tests use as a small fixture).
-type warmStore interface {
-	Get(k repository.RecordKind, key string) ([]byte, bool)
-	GetSchema(name string) (*schema.Schema, bool)
-	SchemaNames() []string
 }
 
 // warmEntry is one schema's persisted warmth.
@@ -276,9 +269,9 @@ func decodeWarm(data []byte) (fps [3]uint64, entries []warmEntry, err error) {
 // currently caches: its analysis artifact, the CRC of its stored
 // record payload (the restore-side staleness gate) and the persistent
 // columns cached against its index. Schemas without a built analysis
-// (emptied by Invalidate, or never analyzed by a Repository's engine)
+// (emptied by Invalidate, or written past the store's own mutators)
 // are skipped — they would warm nothing.
-func collectWarm(store warmStore, e *Engine) []warmEntry {
+func collectWarm(store *repository.Sharded, e *Engine) []warmEntry {
 	a := e.o.ctx.Analyzer
 	var out []warmEntry
 	for _, name := range store.SchemaNames() {
@@ -310,7 +303,7 @@ func collectWarm(store warmStore, e *Engine) []warmEntry {
 
 // writeWarm collects and atomically writes the sidecar; fsys nil
 // selects the real filesystem (tests inject a FaultFS).
-func writeWarm(fsys repository.FS, path string, store warmStore, e *Engine) error {
+func writeWarm(fsys repository.FS, path string, store *repository.Sharded, e *Engine) error {
 	data := encodeWarm(sourceFingerprints(e.o.ctx.Sources()), collectWarm(store, e))
 	return repository.AtomicWriteFile(fsys, path, data)
 }
@@ -319,7 +312,7 @@ func writeWarm(fsys repository.FS, path string, store warmStore, e *Engine) erro
 // schema's index goes into the analyzer, its columns into the
 // persistent column cache (when the engine has one) and the index
 // into the candidate-pruning index.
-func restoreWarm(path string, store warmStore, e *Engine) WarmStats {
+func restoreWarm(path string, store *repository.Sharded, e *Engine) WarmStats {
 	var ws WarmStats
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -363,22 +356,18 @@ func restoreWarm(path string, store warmStore, e *Engine) WarmStats {
 	return ws
 }
 
-// warmPath returns the sharded repository's sidecar path.
-func (r *ShardedRepository) warmPath() string {
-	return filepath.Join(r.Sharded.Dir(), warmSnapName)
-}
-
-// SaveWarm writes the sharded repository's warm-restart sidecar from
-// the engine's caches; Checkpoint calls it automatically. Concurrent
-// calls are serialized.
+// SaveWarm writes the repository's warm-restart sidecar from the
+// engine's caches; Checkpoint calls it automatically. Concurrent calls
+// are serialized.
 func (r *ShardedRepository) SaveWarm() error {
 	r.warmMu.Lock()
 	defer r.warmMu.Unlock()
-	return writeWarm(nil, r.warmPath(), r.Sharded, r.engine)
+	return writeWarm(nil, r.warmPath, r.Sharded, r.engine)
 }
 
 // Checkpoint compacts every shard log into its paged snapshot and then
-// writes the warm-restart sidecar, so a following open both replays
+// writes the warm-restart sidecar (<path>.warm for a single-file store,
+// warm.snap in a shard directory), so a following open both replays
 // almost nothing and skips re-analyzing the store. A sidecar write
 // failure is reported but does not undo the checkpoint.
 func (r *ShardedRepository) Checkpoint() error {
@@ -388,6 +377,6 @@ func (r *ShardedRepository) Checkpoint() error {
 	return r.SaveWarm()
 }
 
-// WarmStart reports the outcome of the sharded repository's startup
-// warm restore.
+// WarmStart reports the outcome of the repository's startup warm
+// restore.
 func (r *ShardedRepository) WarmStart() WarmStats { return r.warm }

@@ -29,12 +29,12 @@ type nosyncFile struct{ repository.File }
 
 func (nosyncFile) Sync() error { return nil }
 
-// warmSweepFixture builds the crash-sweep scene: a small repository
-// with a warmed engine, plus two valid sidecar generations — oldData
-// (written before any analysis: header only) and newData (the full
-// warmth) — so a swept write of newData over oldData has two distinct
-// legal survivors.
-func warmSweepFixture(t *testing.T) (repo *Repository, engine *Engine, path string, oldData, newData []byte) {
+// warmSweepFixture builds the crash-sweep scene: a small single-file
+// store, plus two valid sidecar generations — oldData (written before
+// any put: header only) and newData (the stored schemas' warmth) — so
+// a swept write of newData over oldData has two distinct legal
+// survivors.
+func warmSweepFixture(t *testing.T) (repo *ShardedRepository, path string, oldData, newData []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	repo, err := OpenRepository(filepath.Join(dir, "store.repo"))
@@ -42,72 +42,56 @@ func warmSweepFixture(t *testing.T) (repo *Repository, engine *Engine, path stri
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { repo.Close() })
-	engine, err = NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tiny hand-built schemas keep the sidecar a few KB, so sweeping a
-	// fault through every byte offset stays fast; the workload schemas'
-	// analysis artifacts would blow the file up to ~40KB.
-	mk := func(name, src string) *Schema {
-		s, err := importer.ParseAs(name, "sql", []byte(src))
+	write := func() []byte {
+		t.Helper()
+		if err := writeWarm(nil, path, repo.Sharded, repo.engine); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return data
 	}
-	incoming := mk("WarmProbe", "CREATE TABLE P.Probe (orderNo INT, customerName VARCHAR(100));")
-	stored := []*Schema{
-		mk("WarmA", "CREATE TABLE A.T (orderNo INT, customer VARCHAR(100));"),
-		mk("WarmB", "CREATE TABLE B.T (invoiceNo INT, city VARCHAR(50));"),
-	}
-	for _, s := range stored {
+	// The store analyzes each schema as it is put, so the only
+	// generation without warmth is the empty store's.
+	path = filepath.Join(dir, "case.warm")
+	oldData = write()
+	// Tiny hand-built schemas keep the sidecar a few KB, so sweeping a
+	// fault through every byte offset stays fast; the workload schemas'
+	// analysis artifacts would blow the file up to ~40KB.
+	for _, def := range [][2]string{
+		{"WarmA", "CREATE TABLE A.T (orderNo INT, customer VARCHAR(100));"},
+		{"WarmB", "CREATE TABLE B.T (invoiceNo INT, city VARCHAR(50));"},
+	} {
+		s, err := importer.ParseAs(def[0], "sql", []byte(def[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := repo.PutSchema(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	path = filepath.Join(dir, "case.warm")
-	if err := writeWarm(nil, path, repo.Repo, engine); err != nil {
-		t.Fatal(err)
-	}
-	if oldData, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repo.MatchIncoming(engine, incoming); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeWarm(nil, path, repo.Repo, engine); err != nil {
-		t.Fatal(err)
-	}
-	if newData, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
+	newData = write()
 	if bytes.Equal(oldData, newData) {
 		t.Fatal("fixture degenerate: empty and warmed sidecars are identical")
 	}
 	// The sweep asserts "failed write leaves exactly old or new bytes",
 	// which needs the encoding to be deterministic across calls.
-	if err := writeWarm(nil, path, repo.Repo, engine); err != nil {
-		t.Fatal(err)
-	}
-	again, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, newData) {
+	if again := write(); !bytes.Equal(again, newData) {
 		t.Fatal("sidecar encoding is not deterministic")
 	}
-	return repo, engine, path, oldData, newData
+	return repo, path, oldData, newData
 }
 
 // restoreInto runs a warm restore of path into a throwaway engine.
-func restoreInto(t *testing.T, repo *Repository, path string) WarmStats {
+func restoreInto(t *testing.T, repo *ShardedRepository, path string) WarmStats {
 	t.Helper()
 	e, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return restoreWarm(path, repo.Repo, e)
+	return restoreWarm(path, repo.Sharded, e)
 }
 
 // TestWarmSidecarCrashSweep injects a write fault at every byte offset
@@ -116,7 +100,7 @@ func restoreInto(t *testing.T, repo *Repository, path string) WarmStats {
 // is bit-exactly the old sidecar or the new one, never a mixture, and
 // whichever survived passes a warm restore's validation.
 func TestWarmSidecarCrashSweep(t *testing.T) {
-	repo, engine, path, oldData, newData := warmSweepFixture(t)
+	repo, path, oldData, newData := warmSweepFixture(t)
 	stride := 1
 	if testing.Short() {
 		stride = 7
@@ -128,7 +112,7 @@ func TestWarmSidecarCrashSweep(t *testing.T) {
 			}
 			ffs := repository.NewFaultFS(nosyncFS{repository.OSFS})
 			ffs.Arm(kind, int64(off))
-			err := writeWarm(ffs, path, repo.Repo, engine)
+			err := writeWarm(ffs, path, repo.Sharded, repo.engine)
 			cur, rerr := os.ReadFile(path)
 			if rerr != nil {
 				t.Fatalf("fault %d@%d: sidecar unreadable: %v", kind, off, rerr)
@@ -153,7 +137,7 @@ func TestWarmSidecarCrashSweep(t *testing.T) {
 // magic check, CRC-field and body flips fail the body CRC (CRC32
 // catches all single-byte errors), and nothing is seeded.
 func TestWarmSidecarBitFlipSweep(t *testing.T) {
-	repo, _, path, _, newData := warmSweepFixture(t)
+	repo, path, _, newData := warmSweepFixture(t)
 	if ws := restoreInto(t, repo, path); !ws.Used || ws.Restored == 0 {
 		t.Fatalf("pristine sidecar did not restore: %+v", ws)
 	}

@@ -221,6 +221,50 @@ func TestShardedWarmRestart(t *testing.T) {
 	}
 }
 
+// TestFileStoresKeepSeparateSidecars: two single-file stores in one
+// directory each write their warm sidecar beside their own log
+// (<file>.warm), so a checkpoint of one never overwrites the other's,
+// and each reopen restores exactly its own stored schemas with no
+// analysis.
+func TestFileStoresKeepSeparateSidecars(t *testing.T) {
+	dir := t.TempDir()
+	all := workload.Candidates(8)
+	sets := map[string][]*coma.Schema{"a.repo": all[:3], "b.repo": all[3:]}
+	for name, stored := range sets {
+		repo, err := coma.OpenRepository(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range stored {
+			if err := repo.PutSchema(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := repo.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := repo.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, stored := range sets {
+		repo, err := coma.OpenRepository(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := repo.WarmStart()
+		if !ws.Used || ws.Restored != len(stored) || ws.Discarded != 0 {
+			t.Errorf("%s: warm start %+v, want %d restored and none discarded", name, ws, len(stored))
+		}
+		if got := totalAnalyzerMisses(repo); got != 0 {
+			t.Errorf("%s: %d analyzer misses at open, want 0", name, got)
+		}
+		if err := repo.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWarmSidecarSourceChangeDiscards: a sidecar written under one
 // dictionary must be rejected wholesale by a process opening with
 // different auxiliary sources — warmth never crosses a vocabulary
